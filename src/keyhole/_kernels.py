@@ -1,33 +1,21 @@
-"""Trial kernels for the stochastic runs.
+"""Trial kernel for the stochastic escape runs.
 
 Counter-based uniform draws (a splitmix-style integer hash of seed, trial
 and draw index) make every trial a pure function of the configuration, so
-results do not depend on execution order or backend. Each kernel exists
-twice: a numba-compiled scalar loop and a vectorised NumPy twin that
-performs the same floating-point operations in the same order, giving
-bit-identical counts. The active backend is numba when importable unless
-KEYHOLE_NUMBA=0 requests the NumPy path.
+counts do not depend on execution order: a draw is identified by its
+(trial, stream, index), and a kernel that skips a draw it does not need
+leaves every other draw unchanged.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    numba = None
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and os.environ.get("KEYHOLE_NUMBA", "1") != "0"
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 
 def backend() -> str:
-    return "numba" if USE_NUMBA else "numpy"
+    return "numpy"
 
 
 _M1 = np.uint64(0x9E3779B97F4A7C15)
@@ -77,17 +65,20 @@ def table_lookup_np(tab: np.ndarray, inv_step: float, b: np.ndarray) -> np.ndarr
     return np.where(idx >= tab.shape[0] - 1, 0.0, val)
 
 
-def _classify_np(x, y, x0, ay0, w, tan_l, tan_r, c_max):
-    """Vectorised minimal-reflection classification; c = -1 is unreachable."""
-    dx = x - x0
-    adx = np.abs(dx)
-    tan_t = np.where(dx > 0.0, tan_r, tan_l)
-    c_out = np.full(x.shape, -1, dtype=np.int64)
-    vert_out = np.zeros_like(x)
-    todo = np.ones(x.shape, dtype=bool)
+def _classify_np(adx, v, av0, w, tan_t, c_max):
+    """Minimal-reflection classification; c = -1 is unreachable.
+
+    ``adx`` is each node's distance from node 0 along the walls, ``v`` its
+    coordinate across the strip or slab, ``av0`` node 0's depth below the
+    gapped wall and ``tan_t`` the cone half-angle tangent (scalar or per
+    node). Returns (c, adx, vertical offset of the c-th image).
+    """
+    c_out = np.full(adx.shape, -1, dtype=np.int64)
+    vert_out = np.zeros_like(adx)
+    todo = np.ones(adx.shape, dtype=bool)
     for c in range(c_max + 1):
-        yim = c * w + y if c % 2 == 0 else (c + 1) * w - y
-        vert = yim + ay0
+        vim = c * w + v if c % 2 == 0 else (c + 1) * w - v
+        vert = vim + av0
         hit = todo & (adx <= vert * tan_t)
         c_out[hit] = c
         vert_out[hit] = vert[hit]
@@ -97,287 +88,67 @@ def _classify_np(x, y, x0, ay0, w, tan_l, tan_r, c_max):
     return c_out, adx, vert_out
 
 
-def _connected_components(n: int, ii, jj) -> int:
-    parent = np.arange(n, dtype=np.int64)
+def escape_trials(seed, trials, n, dims, node0, gap_tans, b_coeffs, tab,
+                  inv_step, need_interior):
+    """Event counts (isolated, joint, full_connectivity) over ``trials``.
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    ncomp = n
-    for a, b in zip(ii, jj):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-            ncomp -= 1
-    return ncomp
-
-
-def escape_trials_numpy(seed, trials, n, dims, node0, gap_tans, b_coeffs,
-                        tab, inv_step, need_interior):
-    """NumPy twin of the escape trial loop.
-
-    ``dims`` is (L, w) in 2-D or (L, w) with a third position coordinate in
-    ``node0`` marking the 3-D layout. Returns per-event counts
-    (isolated, joint, full_connectivity) as integers.
+    ``dims`` is (L, w); a third coordinate in ``node0`` selects the 3-D slab
+    (L x L x w) over the 2-D strip (L x w). Node 0 is isolated when it links
+    to none of the ``n`` interior nodes. The interior pair graph is drawn
+    only when ``need_interior`` asks for the joint and full events.
     """
+    if n == 0:
+        return trials, trials, trials
     three_d = len(node0) == 3
     L, w = dims
     tan_l, tan_r = gap_tans
+    b_coeffs = np.asarray(b_coeffs, dtype=np.float64)
     c_max = len(b_coeffs) - 1
     b0 = b_coeffs[0]
+    pos_keys = np.arange(n, dtype=np.uint64) * np.uint64(4)
+    if need_interior:
+        iu, ju = np.triu_indices(n, 1)
+        pair_keys = np.arange(iu.size, dtype=np.uint64)
 
     n_iso = 0
     n_joint = 0
     n_full = 0
-    if n >= 2:
-        iu, ju = np.triu_indices(n, 1)
     for t in range(trials):
         base = trial_bases_np(seed, np.array([t], dtype=np.uint64))
+        xs = draws_np(base, STREAM_POSITION, pos_keys) * L
         if three_d:
-            pos_keys = np.arange(n, dtype=np.uint64)
-            xs = draws_np(base, STREAM_POSITION, pos_keys * np.uint64(4)) * L
-            ys = draws_np(base, STREAM_POSITION, pos_keys * np.uint64(4) + np.uint64(1)) * L
-            zs = draws_np(base, STREAM_POSITION, pos_keys * np.uint64(4) + np.uint64(2)) * w
+            ys = draws_np(base, STREAM_POSITION, pos_keys + np.uint64(1)) * L
+            zs = draws_np(base, STREAM_POSITION, pos_keys + np.uint64(2)) * w
+            coords = (xs, ys, zs)
             sx = xs - node0[0]
             sy = ys - node0[1]
-            adx = np.sqrt(sx * sx + sy * sy)
-            c_sel, _, vert = _classify_radial_np(adx, zs, -node0[2], w, tan_l, c_max)
+            c_sel, adx, vert = _classify_np(np.sqrt(sx * sx + sy * sy), zs,
+                                            -node0[2], w, tan_l, c_max)
         else:
-            pos_keys = np.arange(n, dtype=np.uint64)
-            xs = draws_np(base, STREAM_POSITION, pos_keys * np.uint64(4)) * L
-            ys = draws_np(base, STREAM_POSITION, pos_keys * np.uint64(4) + np.uint64(1)) * w
-            c_sel, adx, vert = _classify_np(xs, ys, node0[0], -node0[1], w,
-                                            tan_l, tan_r, c_max)
-        reach = c_sel >= 0
-        r0 = np.sqrt(adx * adx + vert * vert)
-        h0 = np.zeros(n)
-        if reach.any():
-            bvals = b_coeffs[np.where(reach, c_sel, 0)] * r0
-            h0 = np.where(reach, table_lookup_np(tab, inv_step, bvals), 0.0)
-        u0 = draws_np(base, STREAM_EXTERNAL, np.arange(n, dtype=np.uint64))
-        link0 = u0 < h0
-        isolated = not bool(link0.any())
+            ys = draws_np(base, STREAM_POSITION, pos_keys + np.uint64(1)) * w
+            coords = (xs, ys)
+            dx = xs - node0[0]
+            c_sel, adx, vert = _classify_np(np.abs(dx), ys, -node0[1], w,
+                                            np.where(dx > 0.0, tan_r, tan_l),
+                                            c_max)
+        # only nodes inside a cone can link to node 0
+        reach = np.flatnonzero(c_sel >= 0)
+        r0 = np.sqrt(adx[reach] ** 2 + vert[reach] ** 2)
+        h0 = table_lookup_np(tab, inv_step, b_coeffs[c_sel[reach]] * r0)
+        u0 = draws_np(base, STREAM_EXTERNAL, reach.astype(np.uint64))
+        link0 = reach[u0 < h0]
+        isolated = link0.size == 0
         n_iso += isolated
-
         if not need_interior:
             continue
-        if n <= 1:
-            interior_conn = True
-        else:
-            if three_d:
-                dz = zs[iu] - zs[ju]
-                d = np.sqrt((xs[iu] - xs[ju]) ** 2 + (ys[iu] - ys[ju]) ** 2 + dz * dz)
-            else:
-                d = np.sqrt((xs[iu] - xs[ju]) ** 2 + (ys[iu] - ys[ju]) ** 2)
-            h = table_lookup_np(tab, inv_step, b0 * d)
-            u = draws_np(base, STREAM_PAIRS, np.arange(len(iu), dtype=np.uint64))
-            linked = u < h
-            interior_conn = _connected_components(n, iu[linked], ju[linked]) == 1
-        if isolated and interior_conn:
-            n_joint += 1
-        if interior_conn:
-            full = bool(link0.any())
-        else:
-            ii = np.concatenate([iu[linked] + 1, np.zeros(int(link0.sum()), dtype=np.int64)])
-            jj = np.concatenate([ju[linked] + 1, np.flatnonzero(link0) + 1])
-            full = _connected_components(n + 1, ii, jj) == 1
-        n_full += full
+
+        d = np.sqrt(sum((p[iu] - p[ju]) ** 2 for p in coords))
+        h = table_lookup_np(tab, inv_step, b0 * d)
+        linked = draws_np(base, STREAM_PAIRS, pair_keys) < h
+        graph = coo_matrix((np.ones(int(linked.sum()), dtype=bool),
+                            (iu[linked], ju[linked])), shape=(n, n))
+        ncomp, labels = connected_components(graph, directed=False)
+        n_joint += isolated and ncomp == 1
+        # node 0 joins the whole graph when it links into every component
+        n_full += np.unique(labels[link0]).size == ncomp
     return n_iso, n_joint, n_full
-
-
-def _classify_radial_np(s, z, az0, w, tan_t, c_max):
-    """3-D classification: horizontal offset s against the cone at each image."""
-    c_out = np.full(s.shape, -1, dtype=np.int64)
-    vert_out = np.zeros_like(s)
-    todo = np.ones(s.shape, dtype=bool)
-    for c in range(c_max + 1):
-        zim = c * w + z if c % 2 == 0 else (c + 1) * w - z
-        vert = zim + az0
-        hit = todo & (s <= vert * tan_t)
-        c_out[hit] = c
-        vert_out[hit] = vert[hit]
-        todo &= ~hit
-        if not todo.any():
-            break
-    return c_out, s, vert_out
-
-
-if HAVE_NUMBA:
-    _U64_MAX = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-    @numba.njit(cache=True, inline="always")
-    def _mix64(z):
-        z = z + _M1
-        z = (z ^ (z >> _S30)) * _M2
-        z = (z ^ (z >> _S27)) * _M3
-        return z ^ (z >> _S31)
-
-    @numba.njit(cache=True, inline="always")
-    def _trial_base(seed_u, t):
-        return _mix64(seed_u ^ _mix64(np.uint64(t)))
-
-    @numba.njit(cache=True, inline="always")
-    def _draw(base, stream, index):
-        key = (np.uint64(stream) << _S56) + np.uint64(index)
-        bits = _mix64(base ^ (key * _KEY_MULT))
-        return np.float64(bits >> _S11) * _INV53
-
-    @numba.njit(cache=True, inline="always")
-    def _lookup(tab, inv_step, b):
-        pos = b * inv_step
-        idx = np.int64(pos)
-        if idx >= tab.shape[0] - 1:
-            return 0.0
-        frac = pos - idx
-        return tab[idx] + frac * (tab[idx + 1] - tab[idx])
-
-    @numba.njit(cache=True, inline="always")
-    def _find(parent, i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    @numba.njit(cache=True)
-    def _escape_trials_numba(seed_u, trials, n, L, w, nx0, ny0, nz0, three_d,
-                             tan_l, tan_r, b_coeffs, tab, inv_step,
-                             need_interior):
-        c_max = b_coeffs.shape[0] - 1
-        b0 = b_coeffs[0]
-        az = -nz0 if three_d else -ny0
-
-        xs = np.empty(n)
-        ys = np.empty(n)
-        zs = np.empty(n)
-        link0 = np.empty(n, dtype=np.bool_)
-        parent1 = np.empty(n, dtype=np.int64)
-        parent2 = np.empty(n + 1, dtype=np.int64)
-
-        n_iso = 0
-        n_joint = 0
-        n_full = 0
-        for t in range(trials):
-            base = _trial_base(seed_u, t)
-            any_link0 = False
-            for j in range(n):
-                xs[j] = _draw(base, STREAM_POSITION, j * 4) * L
-                if three_d:
-                    ys[j] = _draw(base, STREAM_POSITION, j * 4 + 1) * L
-                    zs[j] = _draw(base, STREAM_POSITION, j * 4 + 2) * w
-                else:
-                    ys[j] = _draw(base, STREAM_POSITION, j * 4 + 1) * w
-
-            for j in range(n):
-                if three_d:
-                    sx = xs[j] - nx0
-                    sy = ys[j] - ny0
-                    adx = np.sqrt(sx * sx + sy * sy)
-                    tan_t = tan_l
-                    v_coord = zs[j]
-                else:
-                    dx = xs[j] - nx0
-                    adx = np.abs(dx)
-                    tan_t = tan_r if dx > 0.0 else tan_l
-                    v_coord = ys[j]
-                h = 0.0
-                for c in range(c_max + 1):
-                    if c % 2 == 0:
-                        vim = c * w + v_coord
-                    else:
-                        vim = (c + 1) * w - v_coord
-                    vert = vim + az
-                    if adx <= vert * tan_t:
-                        r = np.sqrt(adx * adx + vert * vert)
-                        h = _lookup(tab, inv_step, b_coeffs[c] * r)
-                        break
-                u = _draw(base, STREAM_EXTERNAL, j)
-                link0[j] = u < h
-                if link0[j]:
-                    any_link0 = True
-
-            if not any_link0:
-                n_iso += 1
-            if not need_interior:
-                continue
-
-            if n <= 1:
-                interior_conn = True
-            else:
-                for k in range(n):
-                    parent1[k] = k
-                for k in range(n + 1):
-                    parent2[k] = k
-                ncomp1 = n
-                ncomp2 = n + 1
-                for j in range(n):
-                    if link0[j]:
-                        ra = _find(parent2, 0)
-                        rb = _find(parent2, j + 1)
-                        if ra != rb:
-                            parent2[rb] = ra
-                            ncomp2 -= 1
-                p = -1
-                done = False
-                for i in range(n - 1):
-                    if done:
-                        break
-                    for j in range(i + 1, n):
-                        p += 1
-                        ddx = xs[i] - xs[j]
-                        ddy = ys[i] - ys[j]
-                        if three_d:
-                            ddz = zs[i] - zs[j]
-                            d = np.sqrt(ddx * ddx + ddy * ddy + ddz * ddz)
-                        else:
-                            d = np.sqrt(ddx * ddx + ddy * ddy)
-                        h = _lookup(tab, inv_step, b0 * d)
-                        u = _draw(base, STREAM_PAIRS, p)
-                        if u < h:
-                            ra = _find(parent1, i)
-                            rb = _find(parent1, j)
-                            if ra != rb:
-                                parent1[rb] = ra
-                                ncomp1 -= 1
-                            ra = _find(parent2, i + 1)
-                            rb = _find(parent2, j + 1)
-                            if ra != rb:
-                                parent2[rb] = ra
-                                ncomp2 -= 1
-                            if ncomp1 == 1:
-                                done = True
-                                break
-                interior_conn = ncomp1 == 1
-            if interior_conn:
-                full = any_link0
-            else:
-                full = ncomp2 == 1
-            if interior_conn and not any_link0:
-                n_joint += 1
-            if full:
-                n_full += 1
-        return n_iso, n_joint, n_full
-
-
-def escape_trials(seed, trials, n, dims, node0, gap_tans, b_coeffs, tab,
-                  inv_step, need_interior, force_backend=None):
-    """Run escape trials on the selected backend; returns event counts."""
-    use = USE_NUMBA if force_backend is None else (force_backend == "numba")
-    if n == 0:
-        return trials, trials, trials
-    if use:
-        if not HAVE_NUMBA:
-            raise RuntimeError("numba backend requested but numba is unavailable")
-        three_d = len(node0) == 3
-        nz0 = node0[2] if three_d else 0.0
-        seed_u = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-        return _escape_trials_numba(
-            seed_u, trials, n, dims[0], dims[1], node0[0], node0[1], nz0,
-            three_d, gap_tans[0], gap_tans[1],
-            np.asarray(b_coeffs, dtype=np.float64), tab, inv_step,
-            need_interior)
-    return escape_trials_numpy(seed, trials, n, dims, node0, gap_tans,
-                               np.asarray(b_coeffs, dtype=np.float64), tab,
-                               inv_step, need_interior)

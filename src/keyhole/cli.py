@@ -98,6 +98,11 @@ def _apply_sweep(cfg: dict, param: str, value: float) -> dict:
             geo["node1"][0] = geo["x_u1"] + value / 2.0
         elif param == "y0" and out["scenario"] == "transport":
             geo["node0"][1] = value
+        elif param == "w" and out["scenario"] == "transport":
+            # a node beyond the upper wall keeps its height above that wall
+            if geo["case"] == "opposite":
+                geo["node1"][1] = value + (geo["node1"][1] - geo["w"])
+            geo["w"] = value
         else:
             geo[param] = value
     return out

@@ -4,12 +4,13 @@ event estimation for the escape and transport layouts.
 Links are Bernoulli draws with the exact Marcum-Q connection probability
 (tabulated densely enough that interpolation error is far below Monte Carlo
 noise; the exponential surrogate is never used here). Draws are counter
-based, so estimates are reproducible bit for bit regardless of backend or
-execution order.
+based, so estimates are reproducible bit for bit for a given seed,
+regardless of execution order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -82,11 +83,20 @@ class McConfig:
 
 def link_probability_table(model: ChannelModel,
                            points: int = LINK_TABLE_POINTS) -> Tuple[np.ndarray, float]:
-    """Dense tabulation of Q1(a, b) against b for kernel-side interpolation."""
-    b_hi = model.a_parameter + 14.0
-    tab = np.asarray(marcum_q1(model.a_parameter, np.linspace(0.0, b_hi, points)))
-    inv_step = (points - 1) / b_hi
-    return tab, inv_step
+    """Dense tabulation of Q1(a, b) against b for kernel-side interpolation.
+
+    The table depends on the model only through ``a_parameter`` (set by K),
+    so models that differ in alpha or beta share one cached, read-only table.
+    """
+    return _link_table(model.a_parameter, points)
+
+
+@functools.lru_cache(maxsize=8)
+def _link_table(a: float, points: int) -> Tuple[np.ndarray, float]:
+    b_hi = a + 14.0
+    tab = np.asarray(marcum_q1(a, np.linspace(0.0, b_hi, points)))
+    tab.flags.writeable = False
+    return tab, (points - 1) / b_hi
 
 
 def _b_coefficients(model: ChannelModel, c_max: int) -> np.ndarray:
@@ -97,8 +107,7 @@ def _b_coefficients(model: ChannelModel, c_max: int) -> np.ndarray:
     return out
 
 
-def _escape_counts(cfg: McConfig, need_interior: bool,
-                   force_backend: Optional[str] = None) -> Tuple[int, int, int]:
+def _escape_counts(cfg: McConfig, need_interior: bool) -> Tuple[int, int, int]:
     model = cfg.channel
     if model.eta != 2.0:
         raise NotImplementedError("trial kernels assume eta = 2")
@@ -122,11 +131,10 @@ def _escape_counts(cfg: McConfig, need_interior: bool,
     # infinite coefficients (alpha = 0) map far beyond the table, giving H = 0
     b_coeffs = np.where(np.isinf(b_coeffs), 1e9, b_coeffs)
     return _kernels.escape_trials(cfg.seed, cfg.trials, n, dims, node0, tans,
-                                  b_coeffs, tab, inv_step, need_interior,
-                                  force_backend=force_backend)
+                                  b_coeffs, tab, inv_step, need_interior)
 
 
-def run_escape_isolation(cfg: McConfig, force_backend: Optional[str] = None) -> McEstimate:
+def run_escape_isolation(cfg: McConfig) -> McEstimate:
     """Estimate the external-node isolation event.
 
     ``event="joint"`` counts trials where node 0 reaches nobody while the
@@ -134,14 +142,14 @@ def run_escape_isolation(cfg: McConfig, force_backend: Optional[str] = None) -> 
     interior condition (the two coincide in dense regimes).
     """
     need_interior = cfg.event == "joint"
-    iso, joint, _ = _escape_counts(cfg, need_interior, force_backend)
+    iso, joint, _ = _escape_counts(cfg, need_interior)
     count = joint if cfg.event == "joint" else iso
     return McEstimate.from_counts(count, cfg.trials, cfg.seed)
 
 
-def run_full_connectivity(cfg: McConfig, force_backend: Optional[str] = None) -> McEstimate:
+def run_full_connectivity(cfg: McConfig) -> McEstimate:
     """Estimate the probability that all nodes form a single component."""
-    _, _, full = _escape_counts(cfg, True, force_backend)
+    _, _, full = _escape_counts(cfg, True)
     return McEstimate.from_counts(full, cfg.trials, cfg.seed)
 
 
