@@ -78,8 +78,11 @@ def max_escape_angle(g: Geometry2D) -> float:
     return g.theta()
 
 
-def y_image(c: int, y: float, w: float) -> float:
-    """Height of the unfolded image of an interior point after c reflections."""
+def y_image(c: int, y, w: float):
+    """Height of the unfolded image of an interior point after c reflections.
+
+    ``y`` may be a scalar or an ndarray.
+    """
     if c % 2 == 0:
         return c * w + y
     return (c + 1) * w - y
@@ -96,6 +99,12 @@ class ReflectionRegion:
     r_min: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     r_max: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     empty: bool = False
+
+    @classmethod
+    def empty_for(cls, c: int) -> "ReflectionRegion":
+        """Region for count c that no point reaches."""
+        return cls(c=c, phi_min=0.0, phi_max=0.0, r_min=np.zeros_like,
+                   r_max=np.zeros_like, empty=True)
 
     def contains(self, phi: float, r: float) -> bool:
         if self.empty:
@@ -146,13 +155,13 @@ class CartesianRegion:
     tan_theta: float
 
     def x_left(self, y):
-        yim = _y_image_arr(self.c, np.asarray(y, dtype=float), self.w)
+        yim = y_image(self.c, np.asarray(y, dtype=float), self.w)
         return self.x0 - (yim + self.abs_y0) * self.tan_theta
 
     def x_right(self, y):
         if self.c == 0:
             return np.full_like(np.asarray(y, dtype=float), self.x0)
-        yim = _y_image_arr(self.c - 1, np.asarray(y, dtype=float), self.w)
+        yim = y_image(self.c - 1, np.asarray(y, dtype=float), self.w)
         return self.x0 - (yim + self.abs_y0) * self.tan_theta
 
     def impact_point(self, i: int) -> float:
@@ -184,12 +193,6 @@ class CartesianRegion:
         for (x1, y1), (x2, y2) in zip(poly, poly[1:] + poly[:1]):
             s += x1 * y2 - x2 * y1
         return abs(s) / 2.0
-
-
-def _y_image_arr(c: int, y: np.ndarray, w: float) -> np.ndarray:
-    if c % 2 == 0:
-        return c * w + y
-    return (c + 1) * w - y
 
 
 def cartesian_bounds(g: Geometry2D, c: int) -> CartesianRegion:

@@ -18,11 +18,11 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import _kernels
-from .channel import ChannelModel
+from .channel import ChannelModel, pair_connect_prob_exact
 from .geometry2d import Geometry2D
 from .escape3d import Geometry3D
 from .specfun import marcum_q1
-from .transport import TransportGeometry, transport_min_path
+from .transport import TransportGeometry, link_probs_by_count, min_paths
 
 LINK_TABLE_POINTS = 1 << 17
 
@@ -165,9 +165,11 @@ def run_transport(cfg: McConfig) -> TransportEstimate:
 
     Node positions are drawn uniformly from ``region0``/``region1`` boxes
     (degenerate boxes pin a node). The link fires with the exact Marcum
-    probability of the minimal feasible path, found by the same rule as
-    ``transport_min_path``. Trials are also stratified by that minimal
-    reflection count.
+    probability of the minimal feasible path. The path comes from
+    ``transport.min_paths`` and the link probability from
+    ``transport.link_probs_by_count``, the code ``averaged_connect_prob``
+    runs, so the two estimates differ only by sampling and quadrature error.
+    Trials are also stratified by that minimal reflection count.
     """
     tg: TransportGeometry = cfg.geometry
     model = cfg.channel
@@ -189,42 +191,9 @@ def run_transport(cfg: McConfig) -> TransportEstimate:
     x0s, y0s = sample_box(_kernels.STREAM_POSITION, region0)
     x1s, y1s = sample_box(_kernels.STREAM_NODE1, region1)
 
-    parity_start = 0 if tg.case == "opposite" else 1
-    c_vals = np.full(cfg.trials, -1, dtype=np.int64)
-    r_vals = np.zeros(cfg.trials)
-    ay0 = -y0s
-    beyond = (y1s - tg.w) if tg.case == "opposite" else -y1s
-    if tg.case == "opposite":
-        rx_lo, rx_hi = tg.x_u1, tg.x_u2
-    else:
-        rx_lo, rx_hi = tg.x_l3, tg.x_l4
-    dx = x1s - x0s
-    todo = np.ones(cfg.trials, dtype=bool)
-    for c in range(parity_start, c_max + 1, 2):
-        exit_h = (c + 1) * tg.w
-        vert = exit_h + ay0 + beyond
-        x_at0 = x0s + dx * (ay0 / vert)
-        x_at1 = x0s + dx * ((exit_h + ay0) / vert)
-        ok = (todo & (x_at0 >= tg.x_l1) & (x_at0 <= tg.x_l2)
-              & (x_at1 >= rx_lo) & (x_at1 <= rx_hi))
-        # a reflection point inside a gap is where the ray leaves instead
-        for k in range(1, c + 1):
-            x_k = x0s + dx * ((k * tg.w + ay0) / vert)
-            for lo, hi in tg.wall_gaps(k):
-                ok &= (x_k < lo) | (x_k > hi)
-        c_vals[ok] = c
-        r_vals[ok] = np.hypot(dx[ok], vert[ok])
-        todo &= ~ok
-
-    feasible = c_vals >= 0
-    h = np.zeros(cfg.trials)
-    for c in range(parity_start, c_max + 1, 2):
-        sel = feasible & (c_vals == c)
-        if sel.any():
-            b = model.b_coefficient(c)
-            if math.isinf(b):
-                continue
-            h[sel] = marcum_q1(model.a_parameter, b * r_vals[sel])
+    c_vals, r_vals = min_paths(tg, x0s, y0s, x1s, y1s, c_max)
+    h = link_probs_by_count(c_vals, r_vals,
+                            lambda r, c: pair_connect_prob_exact(r, c, model))
     u = _kernels.draws_np(base, _kernels.STREAM_LINK,
                           np.zeros(cfg.trials, dtype=np.uint64))
     connected = u < h

@@ -106,15 +106,6 @@ class TransportGeometry:
         return self.x_u1 <= self.node0[0] <= self.x_u2
 
 
-_EMPTY = ReflectionRegion(c=-1, phi_min=0.0, phi_max=0.0,
-                          r_min=lambda phi: phi, r_max=lambda phi: phi, empty=True)
-
-
-def _empty_region(c: int) -> ReflectionRegion:
-    return ReflectionRegion(c=c, phi_min=0.0, phi_max=0.0,
-                            r_min=_EMPTY.r_min, r_max=_EMPTY.r_max, empty=True)
-
-
 def case1_bounds(tg: TransportGeometry, c: int) -> ReflectionRegion:
     """Region beyond the opposite-wall gap reachable after c reflections.
 
@@ -127,9 +118,9 @@ def case1_bounds(tg: TransportGeometry, c: int) -> ReflectionRegion:
     if c < 0:
         raise ValueError("reflection count must be non-negative")
     if c % 2 == 1:
-        return _empty_region(c)
+        return ReflectionRegion.empty_for(c)
     if tg.gaps_straddle() and c != 0:
-        return _empty_region(c)
+        return ReflectionRegion.empty_for(c)
 
     x0 = tg.node0[0]
     ay0 = tg.abs_y0
@@ -140,7 +131,7 @@ def case1_bounds(tg: TransportGeometry, c: int) -> ReflectionRegion:
     if tg.gaps_straddle():
         phi_min = max(phi_min, 0.0)
     if phi_max <= phi_min or phi_max <= 0.0:
-        return _empty_region(c)
+        return ReflectionRegion.empty_for(c)
 
     span = x0 - tg.x_u1
 
@@ -169,7 +160,7 @@ def case2_bounds(tg: TransportGeometry, c: int) -> ReflectionRegion:
     if c < 0:
         raise ValueError("reflection count must be non-negative")
     if c % 2 == 0:
-        return _empty_region(c)
+        return ReflectionRegion.empty_for(c)
 
     x0 = tg.node0[0]
     ay0 = tg.abs_y0
@@ -178,7 +169,7 @@ def case2_bounds(tg: TransportGeometry, c: int) -> ReflectionRegion:
     phi_min = math.atan((tg.x_l3 - x0) / depth)
     phi_max = min(theta, math.atan((tg.x_l4 - x0) / depth))
     if phi_max <= phi_min or phi_max <= 0.0:
-        return _empty_region(c)
+        return ReflectionRegion.empty_for(c)
 
     span = tg.x_l4 - x0
 
@@ -334,43 +325,67 @@ def transport_mass_case2(tg: TransportGeometry, model: ChannelModel,
     return MassBreakdown.from_contributions(per_c, tag, "directed")
 
 
-def transport_min_path(tg: TransportGeometry, p0, p1, c_max: int) -> Optional[Tuple[int, float]]:
-    """Minimal reflection count and unfolded distance for a node pair.
+def min_paths(tg: TransportGeometry, x0, y0, x1, y1,
+              c_max: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Minimal reflection count and unfolded distance for node pairs.
 
-    Both gap crossings of the unfolded straight segment must fall inside
-    their gaps, and every one of the c reflection points in between must land
-    on a wall: a ray that meets a wall inside a gap (``wall_gaps``) leaves
-    there, so that count has no path. Returns None when no count of the
-    admissible parity up to ``c_max`` works.
+    Takes broadcastable arrays of node 0 (x0, y0) and node 1 (x1, y1)
+    coordinates. Both gap crossings of the unfolded straight segment must fall
+    inside their gaps, and every one of the c reflection points in between
+    must land on a wall: a ray that meets a wall inside a gap (``wall_gaps``)
+    leaves there, so that count has no path. Returns arrays (c, r) of the
+    broadcast shape; c is -1 and r is 0 where no count of the admissible
+    parity up to ``c_max`` works.
     """
-    x0, y0 = float(p0[0]), float(p0[1])
-    x1, y1 = float(p1[0]), float(p1[1])
+    x0, y0, x1, y1 = np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                           for v in (x0, y0, x1, y1)))
     ay0 = -y0
     if tg.case == "opposite":
-        start, step = 0, 2
-        beyond = y1 - tg.w
-        rx_lo, rx_hi = tg.x_u1, tg.x_u2
+        start, beyond, rx_lo, rx_hi = 0, y1 - tg.w, tg.x_u1, tg.x_u2
     else:
-        start, step = 1, 2
-        beyond = -y1
-        rx_lo, rx_hi = tg.x_l3, tg.x_l4
+        start, beyond, rx_lo, rx_hi = 1, -y1, tg.x_l3, tg.x_l4
     dx = x1 - x0
-    for c in range(start, c_max + 1, step):
+    c_vals = np.full(dx.shape, -1, dtype=np.int64)
+    r_vals = np.zeros(dx.shape)
+    todo = np.ones(dx.shape, dtype=bool)
+    for c in range(start, c_max + 1, 2):
         exit_h = (c + 1) * tg.w
         vert = exit_h + ay0 + beyond
-        # crossing of the transmitter gap at the lower wall
+        # crossings of the transmitter gap at the lower wall and of the
+        # receiver gap at its unfolded height
         x_at0 = x0 + dx * (ay0 / vert)
-        if not (tg.x_l1 <= x_at0 <= tg.x_l2):
-            continue
-        # crossing of the receiver gap at its unfolded height
         x_at1 = x0 + dx * ((exit_h + ay0) / vert)
-        if not (rx_lo <= x_at1 <= rx_hi):
-            continue
-        if any(lo <= x0 + dx * ((k * tg.w + ay0) / vert) <= hi
-               for k in range(1, c + 1) for lo, hi in tg.wall_gaps(k)):
-            continue
-        return c, math.hypot(dx, vert)
-    return None
+        ok = (todo & (x_at0 >= tg.x_l1) & (x_at0 <= tg.x_l2)
+              & (x_at1 >= rx_lo) & (x_at1 <= rx_hi))
+        # a reflection point inside a gap is where the ray leaves instead
+        for k in range(1, c + 1):
+            x_k = x0 + dx * ((k * tg.w + ay0) / vert)
+            for lo, hi in tg.wall_gaps(k):
+                ok &= (x_k < lo) | (x_k > hi)
+        c_vals[ok] = c
+        r_vals[ok] = np.hypot(dx[ok], vert[ok])
+        todo &= ~ok
+    return c_vals, r_vals
+
+
+def transport_min_path(tg: TransportGeometry, p0, p1, c_max: int) -> Optional[Tuple[int, float]]:
+    """``min_paths`` for one pair: (c, r), or None when no count works."""
+    c, r = min_paths(tg, p0[0], p0[1], p1[0], p1[1], c_max)
+    return None if c < 0 else (int(c), float(r))
+
+
+def link_probs_by_count(c_vals: np.ndarray, r_vals: np.ndarray,
+                        link_prob: Callable) -> np.ndarray:
+    """``link_prob(r, c)`` at each pair's minimal path, 0 where there is none.
+
+    ``link_prob`` is called once per distinct count with the array of that
+    count's distances; a scalar return broadcasts over them.
+    """
+    h = np.zeros(c_vals.shape)
+    for c in np.unique(c_vals[c_vals >= 0]):
+        sel = c_vals == c
+        h[sel] = link_prob(r_vals[sel], int(c))
+    return h
 
 
 def averaged_connect_prob(tg: TransportGeometry, model: ChannelModel,
@@ -381,8 +396,17 @@ def averaged_connect_prob(tg: TransportGeometry, model: ChannelModel,
     """Pair connection probability averaged over both node regions.
 
     Regions are axis-aligned boxes (x_lo, x_hi, y_lo, y_hi). The average is
-    a Gauss-Legendre double quadrature of the minimal-path link probability;
-    by default the exact Marcum form at the minimal feasible count.
+    a Gauss-Legendre double quadrature, of order ``n_outer`` per axis over
+    region0 and ``n_inner`` over region1, of the minimal-path link
+    probability: by default the exact Marcum form at the minimal feasible
+    count. All node pairs go through one ``min_paths`` call, and
+    ``link_prob(r, c)`` is called once per distinct count c with the array
+    of that count's distances r; a scalar return broadcasts over them.
+
+    The integrand jumps where a count becomes feasible, so Gauss-Legendre
+    converges slowly: on the opposite-gap boxes of the tests the default
+    12x24 order gives 0.63959, 24x48 gives 0.64165 and 64x64 gives 0.64191,
+    against 0.64200 +- 0.00048 from 1M ``run_transport`` trials (seed 2024).
     """
     for name, box in (("region0", region0), ("region1", region1)):
         if not (box[1] > box[0] and box[3] > box[2]):
@@ -392,30 +416,20 @@ def averaged_connect_prob(tg: TransportGeometry, model: ChannelModel,
         def link_prob(r, c):
             return pair_connect_prob_exact(r, c, model)
 
-    x0n, w0 = np.polynomial.legendre.leggauss(n_outer)
-    x1n, w1 = np.polynomial.legendre.leggauss(n_inner)
+    def grid(box, order):
+        # tensor Gauss-Legendre nodes over a box, x-major, with their weights
+        nodes, weights = np.polynomial.legendre.leggauss(order)
+        jx, jy = 0.5 * (box[1] - box[0]), 0.5 * (box[3] - box[2])
+        gx = jx * nodes + 0.5 * (box[1] + box[0])
+        gy = jy * nodes + 0.5 * (box[3] + box[2])
+        return (np.repeat(gx, order), np.tile(gy, order),
+                np.outer(weights, weights).ravel(), jx * jy)
 
-    def scaled(nodes, lo, hi):
-        return 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo), 0.5 * (hi - lo)
-
-    gx0, jx0 = scaled(x0n, region0[0], region0[1])
-    gy0, jy0 = scaled(x0n, region0[2], region0[3])
-    gx1, jx1 = scaled(x1n, region1[0], region1[1])
-    gy1, jy1 = scaled(x1n, region1[2], region1[3])
-
-    total = 0.0
-    for ix, px in enumerate(gx0):
-        for iy, py in enumerate(gy0):
-            inner = 0.0
-            for jx, qx in enumerate(gx1):
-                for jy, qy in enumerate(gy1):
-                    path = transport_min_path(tg, (px, py), (qx, qy), model.C)
-                    if path is None:
-                        continue
-                    c, r = path
-                    inner += w1[jx] * w1[jy] * float(link_prob(r, c))
-            total += w0[ix] * w0[iy] * inner
-    total *= jx0 * jy0 * jx1 * jy1
+    px, py, wp, jac0 = grid(region0, n_outer)
+    qx, qy, wq, jac1 = grid(region1, n_inner)
+    c_vals, r_vals = min_paths(tg, px[:, None], py[:, None], qx, qy, model.C)
+    h = link_probs_by_count(c_vals, r_vals, link_prob)
+    total = wp @ (h @ wq) * (jac0 * jac1)
     v0 = (region0[1] - region0[0]) * (region0[3] - region0[2])
     v1 = (region1[1] - region1[0]) * (region1[3] - region1[2])
-    return total / (v0 * v1)
+    return float(total / (v0 * v1))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,8 +7,9 @@ import pytest
 from keyhole.channel import make_channel_model
 from keyhole.transport import (TransportGeometry, averaged_connect_prob,
                                case1_bounds, case1_min_reflections,
-                               case2_bounds, case2_path, transport_mass_case1,
-                               transport_mass_case2, transport_min_path)
+                               case2_bounds, case2_path, min_paths,
+                               transport_mass_case1, transport_mass_case2,
+                               transport_min_path)
 
 
 def opposite_geometry(w=10.0, y0=-2.0, gap=0.3, x_l1=15.0, x_u1=14.5):
@@ -252,16 +254,27 @@ def min_path_cases():
 
 def test_transport_min_path_matches_ray_trace():
     found = set()
-    for tg, p0, p1 in min_path_cases():
-        got = transport_min_path(tg, p0, p1, 6)
-        want = traced_min_path(tg, p0, p1, 6)
-        if want is None:
-            assert got is None, (tg.case, p0, p1, got)
-            found.add(None)
-            continue
-        assert got is not None and got[0] == want[0], (tg.case, p0, p1, got, want)
-        assert got[1] == pytest.approx(want[1], rel=1e-9)
-        found.add(want[0])
+    # each layout's pairs also go through one batched min_paths call
+    for _, group in itertools.groupby(min_path_cases(), key=lambda case: id(case[0])):
+        group = list(group)
+        tg = group[0][0]
+        p0s = np.array([p0 for _, p0, _ in group])
+        p1s = np.array([p1 for _, _, p1 in group])
+        cs, rs = min_paths(tg, p0s[:, 0], p0s[:, 1], p1s[:, 0], p1s[:, 1], 6)
+        assert cs.shape == rs.shape == (len(group),)
+        for (_, p0, p1), c_b, r_b in zip(group, cs, rs):
+            batched = None if c_b < 0 else (int(c_b), float(r_b))
+            got = transport_min_path(tg, p0, p1, 6)
+            want = traced_min_path(tg, p0, p1, 6)
+            if want is None:
+                assert got is None and batched is None, (tg.case, p0, p1, got, batched)
+                assert c_b == -1 and r_b == 0.0
+                found.add(None)
+                continue
+            for path in (got, batched):
+                assert path is not None and path[0] == want[0], (tg.case, p0, p1, path, want)
+                assert path[1] == pytest.approx(want[1], rel=1e-9)
+            found.add(want[0])
     # the sample reaches direct, reflected and unreachable pairs
     assert {None, 0, 1, 2} <= found
 
@@ -357,6 +370,32 @@ def test_averaged_connect_prob_y0_trend(model):
     d_near = averaged_connect_prob(tg_near, model, box_near, r1, link_prob=direct)
     d_far = averaged_connect_prob(tg_far, model, box_far, r1, link_prob=direct)
     assert d_near > d_far
+
+
+# the boxes that perfbench's transport_average workload averages over
+BENCH_BOX0, BENCH_BOX1 = (15.0, 15.3, -0.6, -0.4), (14.5, 14.8, 12.0, 14.0)
+
+
+def test_averaged_connect_prob_default_order_pinned(model):
+    # value of the per-pair loop this one-pass quadrature replaced
+    val = averaged_connect_prob(opposite_geometry(y0=-0.5), model,
+                                BENCH_BOX0, BENCH_BOX1)
+    assert val == pytest.approx(0.6395904396434917, rel=1e-12)
+
+
+@pytest.mark.parametrize("eta", [2.0, 3.0])
+def test_averaged_connect_prob_matches_run_transport(eta):
+    # 24x48 rather than the default 12x24, which sits 0.0023 below the
+    # converged value (see the averaged_connect_prob docstring)
+    from keyhole.montecarlo import McConfig, run_transport
+    model = make_channel_model(K=4.0, beta=1e-3, eta=eta, alpha=0.85, C=6)
+    tg = opposite_geometry(y0=-0.5)
+    p_avg = averaged_connect_prob(tg, model, BENCH_BOX0, BENCH_BOX1,
+                                  n_outer=24, n_inner=48)
+    est = run_transport(McConfig(scenario="transport", geometry=tg,
+                                 channel=model, trials=400_000, seed=7,
+                                 region0=BENCH_BOX0, region1=BENCH_BOX1)).estimate
+    assert abs(est.p_hat - p_avg) <= 4.0 * est.std_err, (p_avg, est.p_hat, est.std_err)
 
 
 def test_averaged_connect_prob_degenerate_region(model):
