@@ -2,9 +2,10 @@
 
 The connectivity mass is the integral of the pair-connection probability H
 over the reachable interior, summed over reflection regions. Two evaluation
-routes are kept side by side: an adaptive-quadrature route (authoritative)
-and the small-angle closed form with quadratic correction terms. The
-isolation probability of the external node is exp(-rho * mass).
+routes are kept side by side: a quadrature route (authoritative; the radial
+integral exact, fixed-order Gauss-Legendre in angle, see region_mass) and
+the small-angle closed form with quadratic correction terms. The isolation
+probability of the external node is exp(-rho * mass).
 """
 
 from __future__ import annotations
@@ -62,57 +63,57 @@ class ClusterInputs:
             raise ValueError("rho must be non-negative")
 
 
-def _annulus_mass(lam: float, p: float, r_lo: float, r_hi: float) -> float:
-    """Exact r-integral of r * exp(-lam r^p) over [r_lo, r_hi]."""
-    s = 2.0 / p
-    scale = lam ** (-s) / p
-    return scale * (lower_inc_gamma(s, lam * r_hi ** p)
-                    - lower_inc_gamma(s, lam * r_lo ** p))
+_GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
-def _per_c_quadrature(theta: float, w: float, ay0: float,
-                      model: ChannelModel, c: int, tol: float) -> float:
-    lam = model.lambda_coeff(c)
-    if math.isinf(lam):
-        return 0.0
+def region_mass(regions, model: ChannelModel, dim: int = 2) -> np.ndarray:
+    """Surrogate mass of each reflection region, one array entry per region.
+
+    The mass of D_c is the integral of exp(-lambda_c r^p) r^(dim-1) over
+    r in [r_min(phi), r_max(phi)] and phi in [phi_min, phi_max], with an
+    extra sin(phi) in 3-D, where phi is the inclination and the azimuth is
+    left to the caller. The radial integral is exact through the lower
+    incomplete gamma function; the angular one is 16-point Gauss-Legendre,
+    done for all regions in one array pass. Angles where r_min exceeds
+    r_max add nothing. Empty or zero-width regions, and reflected regions at
+    alpha = 0, have mass 0.
+    """
+    out = np.zeros(len(regions))
+    live = [i for i, reg in enumerate(regions)
+            if not reg.empty and reg.phi_max > reg.phi_min
+            and math.isfinite(model.lambda_coeff(reg.c))]
+    if not live:
+        return out
     p = model.radial_exponent()
-    if c == 0:
-        phi_min = 0.0
-
-        def integrand(phi):
-            r_lo = ay0 / math.cos(phi)
-            r_hi = (w + ay0) / math.cos(phi)
-            return _annulus_mass(lam, p, r_lo, r_hi)
-    else:
-        phi_min = math.atan(((c - 1) * w + ay0) * math.tan(theta) / ((c + 1) * w + ay0))
-        sin_th = math.sin(theta)
-
-        def integrand(phi):
-            r_lo = 2.0 * (c * w + ay0) * sin_th / math.sin(theta + phi)
-            r_hi = ((c + 1) * w + ay0) / math.cos(phi)
-            if r_lo >= r_hi:
-                return 0.0
-            return _annulus_mass(lam, p, r_lo, r_hi)
-
-    coarse = abs(integrand(0.5 * (phi_min + theta))) * max(theta - phi_min, 1e-30)
-    tol_abs = max(1e-15, tol * max(coarse, 1e-12))
-    return integrate_adaptive(integrand, phi_min, theta, tol_abs)
+    s = dim / p
+    lam = np.array([model.lambda_coeff(regions[i].c) for i in live])
+    lo = np.array([regions[i].phi_min for i in live])
+    hi = np.array([regions[i].phi_max for i in live])
+    half = 0.5 * (hi - lo)
+    phi = (0.5 * (hi + lo) + half * _GL16_NODES[:, None]).T
+    r_hi = np.stack([regions[i].r_max(row) for i, row in zip(live, phi)])
+    r_lo = np.minimum(np.stack([regions[i].r_min(row) for i, row in zip(live, phi)]),
+                      r_hi)
+    gam = lower_inc_gamma(s, lam[:, None] * np.stack([r_hi, r_lo]) ** p)
+    radial = gam[0] - gam[1]
+    if dim == 3:
+        radial *= np.sin(phi)
+    out[live] = lam ** (-s) / p * half * (radial @ _GL16_WEIGHTS)
+    return out
 
 
-def mass_numeric(g: Geometry2D, model: ChannelModel, tol: float = 1e-9) -> MassBreakdown:
-    """Connectivity mass by adaptive quadrature over the escape angle.
+def mass_numeric(g: Geometry2D, model: ChannelModel) -> MassBreakdown:
+    """Connectivity mass by quadrature over the escape angle.
 
     The radial integral is done exactly through the incomplete-gamma
-    antiderivative; only the angular integral is numerical, so this serves
-    as the oracle for :func:`mass_closed_form`.
+    antiderivative; only the angular integral is numerical (fixed-order
+    Gauss-Legendre, see :func:`region_mass`), so this serves as the oracle
+    for :func:`mass_closed_form`.
     """
-    per_c = []
-    for c in range(model.C + 1):
-        total_c = 0.0
-        for th in g.side_thetas():
-            total_c += _per_c_quadrature(th, g.w, g.abs_y0, model, c, tol)
-        per_c.append((c, total_c))
-    return MassBreakdown.from_contributions(per_c, "quadrature", g.sides)
+    thetas = g.side_thetas()
+    regions = [region_bounds(g, c, th) for c in range(model.C + 1) for th in thetas]
+    per_c = region_mass(regions, model).reshape(model.C + 1, len(thetas)).sum(axis=1)
+    return MassBreakdown.from_contributions(enumerate(per_c), "quadrature", g.sides)
 
 
 def _per_c_closed_form(theta: float, w: float, ay0: float,
@@ -205,15 +206,35 @@ def _fixed_two_lambda(model: ChannelModel) -> float:
     return math.exp(fit2.nu2) * 2.0 * (model.K + 1.0) * model.beta
 
 
-def _erf_box_factor(t: float, length: float, lam_hat: float) -> float:
+def _erf_box_factor(t, length: float, lam_hat: float):
     rt = math.sqrt(lam_hat)
-    return math.erf((length - t) * rt) + math.erf(t * rt)
+    return special.erf((length - t) * rt) + special.erf(t * rt)
 
 
-def _interior_pair_mass_erf(x: float, y: float, L: float, w: float, lam_hat: float) -> float:
-    """Integral of the Gaussian link surrogate from (x, y) over the box."""
-    return math.pi / (4.0 * lam_hat) * _erf_box_factor(x, L, lam_hat) \
-        * _erf_box_factor(y, w, lam_hat)
+def _graded_unit_rule(order: int = 8, levels: int = 24):
+    """Composite Gauss-Legendre nodes and weights on [0, 1].
+
+    Panels halve toward both ends (each half is cut at 2^-k / 2 for
+    k = 1..levels), so a boundary layer or a narrow peak at either end is
+    resolved down to a width of 2^-(levels+1).
+    """
+    x, wt = np.polynomial.legendre.leggauss(order)
+    edges = np.concatenate(([0.0], 0.5 ** np.arange(levels + 1, 0, -1)))
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    nodes = (mid + half * x).ravel()
+    weights = (half * wt).ravel()
+    return (np.concatenate((nodes, 1.0 - nodes[::-1])),
+            np.concatenate((weights, weights[::-1])))
+
+
+_GRADED_NODES, _GRADED_WEIGHTS = _graded_unit_rule()
+_GL24_NODES, _GL24_WEIGHTS = np.polynomial.legendre.leggauss(24)
+
+
+def _graded_rule(lo: float, hi: float):
+    """The graded rule of :func:`_graded_unit_rule` mapped to [lo, hi]."""
+    return lo + (hi - lo) * _GRADED_NODES, (hi - lo) * _GRADED_WEIGHTS
 
 
 def _nested_box_quadrature(f, L: float, w: float, tol_rel: float) -> float:
@@ -247,8 +268,10 @@ def internal_isolation_first_term(g: Geometry2D, model: ChannelModel,
     exponent pinned to 2. Three routes:
 
     - ``direct_quadrature``: the inner integral of the surrogate is itself
-      integrated numerically (separable product of 1-D quadratures).
-    - ``erf_quadrature``: the inner integral uses its exact erf product.
+      integrated numerically (separable product of 1-D adaptive
+      quadratures); slow, kept as the reference for ``erf_quadrature``.
+    - ``erf_quadrature``: the inner integral uses its exact erf product and
+      the outer one a graded Gauss-Legendre tensor rule.
     - ``expansion``: closed form built from a quadratic expansion of the erf
       product about the domain centre followed by a polar-coordinate
       expansion. Only trustworthy while sigma_x L^2 / 4 and
@@ -279,9 +302,14 @@ def internal_isolation_first_term(g: Geometry2D, model: ChannelModel,
             lambda x, y: math.exp(-rho * profile_x(x) * profile_y(y)), L, w, 1e-8)
 
     if method == "erf_quadrature":
-        return rho * _nested_box_quadrature(
-            lambda x, y: math.exp(-rho * _interior_pair_mass_erf(x, y, L, w, lam_hat)),
-            L, w, 1e-9)
+        # the inner integral is pi/(4 lam_hat) Ex(x) Ey(y), so the outer one
+        # is a matrix product on the graded tensor rule (built in place: the
+        # grid is 400 x 400)
+        x, wx = _graded_rule(0.0, L)
+        y, wy = _graded_rule(0.0, w)
+        grid = np.outer(_erf_box_factor(x, L, lam_hat), _erf_box_factor(y, w, lam_hat))
+        grid *= -rho * math.pi / (4.0 * lam_hat)
+        return rho * float(wx @ np.exp(grid, out=grid) @ wy)
 
     if method != "expansion":
         raise ValueError(f"unknown method: {method!r}")
@@ -336,7 +364,8 @@ def internal_isolation_bridge_term(g: Geometry2D, model: ChannelModel,
     ``c_limit`` (default 2; higher orders are negligible). The node is
     assumed centred in the gap, so one side is integrated and doubled.
 
-    ``method="quadrature"`` integrates over the exact region polylines;
+    ``method="quadrature"`` integrates over the exact region polylines,
+    graded Gauss-Legendre in y and 24-point Gauss-Legendre across each row;
     ``method="rect_closed_form"`` replaces each region with its bounding
     box, for which the x and y integrals separate into erf/erfi factors.
     """
@@ -358,6 +387,8 @@ def internal_isolation_bridge_term(g: Geometry2D, model: ChannelModel,
     log_pref = -rho * math.pi / lam_hat * erf_l * erf_w
     prefactor = 2.0 * rho
 
+    y, wy = _graded_rule(0.0, w)
+    u, wu = 0.5 * (_GL24_NODES + 1.0), 0.5 * _GL24_WEIGHTS
     total = 0.0
     for c in range(min(c_limit, model.C) + 1):
         if model.alpha == 0.0 and c > 0:
@@ -367,30 +398,17 @@ def internal_isolation_bridge_term(g: Geometry2D, model: ChannelModel,
         region = cartesian_bounds(g, c)
 
         if method == "quadrature":
-            # the exponential prefactor is folded into the exponent so the
-            # integrand stays representable at high density
-            def integrand(x, y, c=c, lam_bar=lam_bar):
-                vert = y_image(c, y, w) + ay0
-                return math.exp(log_pref
-                                - lam_bar * ((x - x0) ** 2 + vert ** 2)
-                                + sigma_y * (y - 0.5 * w) ** 2
-                                + sigma_x * (x - 0.5 * L) ** 2)
-
-            def row(y, region=region, integrand=integrand):
-                xl = float(region.x_left(y))
-                xr = float(region.x_right(y))
-                if xr <= xl:
-                    return 0.0
-                peak = max(integrand(xl, y), integrand(xr, y),
-                           integrand(0.5 * (xl + xr), y))
-                if peak == 0.0:
-                    return 0.0
-                return integrate_adaptive(lambda x: integrand(x, y), xl, xr,
-                                          max(1e-12 * peak * (xr - xl), 1e-300),
-                                          max_evals=40_000, rel=1e-11)
-
-            contribution = integrate_adaptive(row, 0.0, w, 1e-300,
-                                              max_evals=60_000, rel=3e-8)
+            # y on the graded rule, x mapped from [0, 1] across the region at
+            # each height; the exponential prefactor is folded into the
+            # exponent so the integrand stays representable at high density
+            xl = region.x_left(y)
+            width = np.maximum(region.x_right(y) - xl, 0.0)
+            x = xl[:, None] + width[:, None] * u
+            vert = y_image(c, y, w) + ay0
+            expo = (log_pref - lam_bar * ((x - x0) ** 2 + vert[:, None] ** 2)
+                    + sigma_y * (y[:, None] - 0.5 * w) ** 2
+                    + sigma_x * (x - 0.5 * L) ** 2)
+            contribution = float(wy @ (width * (np.exp(expo) @ wu)))
         elif method == "rect_closed_form":
             # bounding box of the region, widest extent of each polyline
             ys = (0.0, w)

@@ -174,6 +174,7 @@ def run_transport(cfg: McConfig) -> TransportEstimate:
     tg: TransportGeometry = cfg.geometry
     model = cfg.channel
     c_max = cfg.c_max if cfg.c_max is not None else model.C
+    c_max = min(c_max, model.C)
 
     region0 = cfg.region0 or (tg.node0[0], tg.node0[0], tg.node0[1], tg.node0[1])
     region1 = cfg.region1 or (tg.node1[0], tg.node1[0], tg.node1[1], tg.node1[1])

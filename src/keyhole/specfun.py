@@ -3,7 +3,10 @@
 Self-contained implementations of the first-order Marcum Q function, the
 lower incomplete gamma function, a deterministic adaptive quadrature, and
 the least-squares fit of the exponential surrogate exp(-e^nu * b^mu) that
-replaces Marcum Q inside the connectivity integrals.
+replaces Marcum Q inside the connectivity integrals. The mass integrals
+themselves use fixed-order Gauss-Legendre rules; the adaptive rule is the
+reference the tests hold them to, and otherwise serves only the slow
+``direct_quadrature`` route and the ky == 0 case of ``rect_closed_form``.
 """
 
 from __future__ import annotations

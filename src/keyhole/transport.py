@@ -16,8 +16,8 @@ import numpy as np
 
 from .channel import ChannelModel, pair_connect_prob_exact
 from .geometry2d import ReflectionRegion
-from .mass2d import MassBreakdown
-from .specfun import integrate_adaptive, lower_inc_gamma
+from .mass2d import MassBreakdown, region_mass
+from .specfun import lower_inc_gamma
 
 
 @dataclass(frozen=True)
@@ -213,31 +213,6 @@ def case2_path(tg: TransportGeometry, c: int) -> Case2Path:
                      feasible=phi_low <= phi <= tg.theta())
 
 
-def _region_mass_quadrature(region: ReflectionRegion, model: ChannelModel,
-                            tol: float = 1e-9) -> float:
-    if region.empty:
-        return 0.0
-    lam = model.lambda_coeff(region.c)
-    if math.isinf(lam):
-        return 0.0
-    p = model.radial_exponent()
-    s = 2.0 / p
-    pref = lam ** (-s) / p
-
-    def integrand(phi):
-        r_lo = float(region.r_min(phi))
-        r_hi = float(region.r_max(phi))
-        if r_lo >= r_hi:
-            return 0.0
-        return pref * (lower_inc_gamma(s, lam * r_hi ** p)
-                       - lower_inc_gamma(s, lam * r_lo ** p))
-
-    width = region.phi_max - region.phi_min
-    coarse = abs(integrand(region.phi_min + 0.5 * width)) * width
-    tol_abs = max(1e-16, tol * max(coarse, 1e-13))
-    return integrate_adaptive(integrand, region.phi_min, region.phi_max, tol_abs)
-
-
 def _region_mass_expansion(region: ReflectionRegion, model: ChannelModel,
                            span: float, depth: float,
                            leading_only: bool) -> float:
@@ -282,26 +257,25 @@ def transport_mass_case1(tg: TransportGeometry, model: ChannelModel,
                          method: str = "quadrature") -> MassBreakdown:
     """Mass of the receiving region for opposite gaps, over even counts.
 
-    ``method`` selects the evaluation route: ``quadrature`` (authoritative),
+    ``method`` selects the evaluation route: ``quadrature`` (authoritative;
+    :func:`mass2d.region_mass`, exact in r and Gauss-Legendre in angle),
     ``expansion`` (midpoint expansion through second order) or ``leading``
     (first term of the expansion only).
     """
     if method not in ("quadrature", "expansion", "leading"):
         raise ValueError(f"unknown method: {method!r}")
-    per_c = []
-    x0 = tg.node0[0]
-    for c in range(0, model.C + 1, 2):
-        region = case1_bounds(tg, c)
-        if method == "quadrature":
-            value = _region_mass_quadrature(region, model)
-        else:
-            value = _region_mass_expansion(
-                region, model, span=x0 - tg.x_u1,
-                depth=(c + 1) * tg.w + tg.abs_y0,
-                leading_only=(method == "leading"))
-        per_c.append((c, value))
+    cs = range(0, model.C + 1, 2)
+    regions = [case1_bounds(tg, c) for c in cs]
+    if method == "quadrature":
+        values = region_mass(regions, model)
+    else:
+        x0 = tg.node0[0]
+        values = [_region_mass_expansion(region, model, span=x0 - tg.x_u1,
+                                         depth=(c + 1) * tg.w + tg.abs_y0,
+                                         leading_only=(method == "leading"))
+                  for c, region in zip(cs, regions)]
     tag = "quadrature" if method == "quadrature" else "closed_form"
-    return MassBreakdown.from_contributions(per_c, tag, "directed")
+    return MassBreakdown.from_contributions(zip(cs, values), tag, "directed")
 
 
 def transport_mass_case2(tg: TransportGeometry, model: ChannelModel,
@@ -309,20 +283,18 @@ def transport_mass_case2(tg: TransportGeometry, model: ChannelModel,
     """Mass of the receiving region for same-side gaps, over odd counts."""
     if method not in ("quadrature", "expansion", "leading"):
         raise ValueError(f"unknown method: {method!r}")
-    per_c = []
-    x0 = tg.node0[0]
-    for c in range(1, model.C + 1, 2):
-        region = case2_bounds(tg, c)
-        if method == "quadrature":
-            value = _region_mass_quadrature(region, model)
-        else:
-            value = _region_mass_expansion(
-                region, model, span=tg.x_l4 - x0,
-                depth=(c + 1) * tg.w + tg.abs_y0,
-                leading_only=(method == "leading"))
-        per_c.append((c, value))
+    cs = range(1, model.C + 1, 2)
+    regions = [case2_bounds(tg, c) for c in cs]
+    if method == "quadrature":
+        values = region_mass(regions, model)
+    else:
+        x0 = tg.node0[0]
+        values = [_region_mass_expansion(region, model, span=tg.x_l4 - x0,
+                                         depth=(c + 1) * tg.w + tg.abs_y0,
+                                         leading_only=(method == "leading"))
+                  for c, region in zip(cs, regions)]
     tag = "quadrature" if method == "quadrature" else "closed_form"
-    return MassBreakdown.from_contributions(per_c, tag, "directed")
+    return MassBreakdown.from_contributions(zip(cs, values), tag, "directed")
 
 
 def min_paths(tg: TransportGeometry, x0, y0, x1, y1,

@@ -1,17 +1,23 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from keyhole import specfun
 from keyhole.channel import make_channel_model
-from keyhole.geometry2d import Geometry2D
+from keyhole.escape3d import Geometry3D, mass3d_numeric, region_bounds_3d
+from keyhole.geometry2d import Geometry2D, ReflectionRegion, region_bounds
 from keyhole.mass2d import (ClusterInputs, MassBreakdown,
                             exterior_isolation_prob,
                             full_connectivity_first_order,
                             internal_isolation_bridge_term,
                             internal_isolation_first_term, mass_closed_form,
-                            mass_numeric, multi_external_bridge_prob)
-from keyhole.specfun import lower_inc_gamma
+                            mass_numeric, multi_external_bridge_prob,
+                            region_mass)
+from keyhole.specfun import integrate_adaptive, lower_inc_gamma
+from keyhole.transport import (TransportGeometry, case1_bounds, case2_bounds,
+                               transport_mass_case1, transport_mass_case2)
 
 
 def make_geometry(**kw):
@@ -231,3 +237,132 @@ def test_full_connectivity_dense_limit(model):
     g = make_geometry()
     res = full_connectivity_first_order(g, model, ClusterInputs(rho=5.0, V=2000.0))
     assert res.p_fc == pytest.approx(1.0, abs=1e-6)
+
+
+def opposite_gaps():
+    return TransportGeometry(w=10.0, L=100.0, case="opposite", x_l1=15.0,
+                             x_l2=15.3, x_u1=14.5, x_u2=14.8,
+                             node0=(15.15, -2.0), node1=(14.65, 12.0))
+
+
+def same_side_gaps():
+    return TransportGeometry(w=10.0, L=100.0, case="same_side", x_l1=14.0,
+                             x_l2=16.0, x_l3=23.0, x_l4=26.0,
+                             node0=(15.0, -2.0), node1=(25.0, -2.0))
+
+
+def axis_geometry_3d():
+    return Geometry3D(w=20.0, L=100.0, gap_radius=0.1, gap_center=(50.0, 50.0),
+                      x0=50.0, y0=50.0, z0=-2.0)
+
+
+def adaptive_region_mass(region, model, dim, floor):
+    """Reference for region_mass: the adaptive rule over the same integrand,
+    to 1e-12 relative but no finer than the absolute ``floor``."""
+    lam = model.lambda_coeff(region.c)
+    p = model.radial_exponent()
+    s = dim / p
+
+    def f(phi):
+        r_hi = float(region.r_max(phi))
+        r_lo = min(float(region.r_min(phi)), r_hi)
+        radial = lam ** (-s) / p * (lower_inc_gamma(s, lam * r_hi ** p)
+                                    - lower_inc_gamma(s, lam * r_lo ** p))
+        return radial * math.sin(phi) if dim == 3 else radial
+
+    width = region.phi_max - region.phi_min
+    scale = width * max(abs(f(region.phi_min + t * width)) for t in np.linspace(0.05, 0.95, 10))
+    if scale == 0.0:
+        # the gamma difference underflows (far regions at strong loss)
+        return 0.0
+    return integrate_adaptive(f, region.phi_min, region.phi_max, max(1e-12 * scale, floor))
+
+
+REGION_CASES = {
+    # x0 off the gap centre, so the two sides have different escape angles
+    "2d_both_sides": (lambda: [region_bounds(make_geometry(x0=50.1), c, th)
+                               for c in range(7)
+                               for th in make_geometry(x0=50.1).side_thetas()], 2),
+    "3d_on_axis": (lambda: [region_bounds_3d(axis_geometry_3d(), c) for c in range(7)], 3),
+    "case1": (lambda: [case1_bounds(opposite_gaps(), c) for c in range(7)], 2),
+    "case2": (lambda: [case2_bounds(same_side_gaps(), c) for c in range(7)], 2),
+}
+
+
+@pytest.mark.parametrize("beta", [1e-3, 1e-4])
+@pytest.mark.parametrize("name", sorted(REGION_CASES))
+def test_region_mass_matches_adaptive_rule(name, beta):
+    m = make_channel_model(K=4.0, beta=beta, alpha=0.75, C=6)
+    build, dim = REGION_CASES[name]
+    regions = build()
+    got = region_mass(regions, m, dim)
+    assert got.shape == (len(regions),)
+    # far regions are gamma(s, hi) - gamma(s, lo) with both near Gamma(s), so
+    # both rules carry rounding of about 1e-16 of the total there
+    total = got.sum()
+    compared = 0
+    for region, value in zip(regions, got):
+        want = 0.0 if region.empty else adaptive_region_mass(region, m, dim, 1e-15 * total)
+        assert value == pytest.approx(want, rel=1e-10, abs=1e-14 * total), (region.c, value, want)
+        compared += want > 1e-10 * total
+    assert compared >= 2
+
+
+def test_region_mass_inverted_bounds_add_nothing(model):
+    # angles where r_min > r_max hold no points, so they must not subtract
+    inverted = ReflectionRegion(c=1, phi_min=0.1, phi_max=0.2,
+                                r_min=lambda phi: np.full_like(phi, 5.0),
+                                r_max=lambda phi: np.full_like(phi, 4.0))
+    assert region_mass([inverted], model)[0] == 0.0
+
+
+FIG4 = dict(w=20.0, L=100.0, gap_center_x=50.0, x0=50.0)
+SMALL_BOX = dict(w=8.0, L=14.0, gap_center_x=7.0, x0=7.0)
+
+
+# values of the nested adaptive rule these terms used before Gauss-Legendre,
+# except where noted
+@pytest.mark.parametrize("term, box, rho, beta, want", [
+    ("first", FIG4, 0.02, 1e-3, 2.7737513263514168e-05),
+    ("first", SMALL_BOX, 0.05, 1e-3, 0.025504874930475787),
+    # corner-dominated: nested scipy.integrate.quad at epsrel 1e-13 (the
+    # adaptive rule gave 1.873411811126353e-71, 1.7e-6 high)
+    ("first", FIG4, 0.3, 1e-3, 1.8734086627823643e-71),
+    ("bridge", FIG4, 0.01, 1e-3, 8.33690294807153e-06),
+    ("bridge", SMALL_BOX, 0.05, 1e-3, 0.0038558761971446234),
+    # a node-0 peak a few thousandths wide at the wall: needs the graded rule
+    ("bridge", FIG4, 0.1, 50.0, 6.104874235297e-81),
+])
+def test_internal_terms_pinned(term, box, rho, beta, want):
+    g = make_geometry(**box)
+    m = make_channel_model(K=4.0, beta=beta, alpha=0.75, C=6)
+    inputs = ClusterInputs(rho=rho, V=g.w * g.L)
+    if term == "first":
+        got = internal_isolation_first_term(g, m, inputs, "erf_quadrature")
+    else:
+        got = internal_isolation_bridge_term(g, m, inputs)
+    assert got == pytest.approx(want, rel=1e-8, abs=0.0)
+
+
+def test_mass_paths_do_not_use_adaptive_rule(monkeypatch, model):
+    def refuse(*args, **kwargs):
+        raise AssertionError("adaptive quadrature on a mass path")
+
+    original = specfun.integrate_adaptive
+    for name, module in list(sys.modules.items()):
+        if name.startswith("keyhole") and \
+                getattr(module, "integrate_adaptive", None) is original:
+            monkeypatch.setattr(module, "integrate_adaptive", refuse)
+    assert specfun.integrate_adaptive is refuse
+    on_axis = axis_geometry_3d()
+    off_axis = Geometry3D(w=20.0, L=100.0, gap_radius=0.1, gap_center=(50.0, 50.0),
+                          x0=50.05, y0=50.0, z0=-2.0)
+    assert mass_numeric(make_geometry(), model).total > 0.0
+    assert mass3d_numeric(on_axis, model).total > 0.0
+    assert mass3d_numeric(on_axis, model, azimuthal=True).total > 0.0
+    assert mass3d_numeric(off_axis, model).total > 0.0
+    assert transport_mass_case1(opposite_gaps(), model).total > 0.0
+    assert transport_mass_case2(same_side_gaps(), model).total > 0.0
+    fc = full_connectivity_first_order(make_geometry(), model,
+                                       ClusterInputs(rho=0.1, V=2000.0))
+    assert 0.0 < fc.p_fc < 1.0
