@@ -88,20 +88,22 @@ def _classify_np(adx, v, av0, w, tan_t, c_max):
     return c_out, adx, vert_out
 
 
-def escape_trials(seed, trials, n, dims, node0, gap_tans, b_coeffs, tab,
+def escape_trials(seed, trials, n, dims, node0, cone_tan, b_coeffs, tab,
                   inv_step, need_interior):
     """Event counts (isolated, joint, full_connectivity) over ``trials``.
 
     ``dims`` is (L, w); a third coordinate in ``node0`` selects the 3-D slab
-    (L x L x w) over the 2-D strip (L x w). Node 0 is isolated when it links
-    to none of the ``n`` interior nodes. The interior pair graph is drawn
-    only when ``need_interior`` asks for the joint and full events.
+    (L x L x w) over the 2-D strip (L x w). ``cone_tan`` maps each node's
+    offset from node 0 along the walls (x - x0 in 2-D, the horizontal
+    distance in 3-D) to its cone half-angle tangent. Node 0 is isolated
+    when it links to none of the ``n`` interior nodes. The interior pair
+    graph is drawn only when ``need_interior`` asks for the joint and full
+    events.
     """
     if n == 0:
         return trials, trials, trials
     three_d = len(node0) == 3
     L, w = dims
-    tan_l, tan_r = gap_tans
     b_coeffs = np.asarray(b_coeffs, dtype=np.float64)
     c_max = len(b_coeffs) - 1
     b0 = b_coeffs[0]
@@ -122,15 +124,14 @@ def escape_trials(seed, trials, n, dims, node0, gap_tans, b_coeffs, tab,
             coords = (xs, ys, zs)
             sx = xs - node0[0]
             sy = ys - node0[1]
-            c_sel, adx, vert = _classify_np(np.sqrt(sx * sx + sy * sy), zs,
-                                            -node0[2], w, tan_l, c_max)
+            rad = np.sqrt(sx * sx + sy * sy)
+            c_sel, adx, vert = _classify_np(rad, zs, -node0[2], w, cone_tan(rad), c_max)
         else:
             ys = draws_np(base, STREAM_POSITION, pos_keys + np.uint64(1)) * w
             coords = (xs, ys)
             dx = xs - node0[0]
             c_sel, adx, vert = _classify_np(np.abs(dx), ys, -node0[1], w,
-                                            np.where(dx > 0.0, tan_r, tan_l),
-                                            c_max)
+                                            cone_tan(dx), c_max)
         # only nodes inside a cone can link to node 0
         reach = np.flatnonzero(c_sel >= 0)
         r0 = np.sqrt(adx[reach] ** 2 + vert[reach] ** 2)

@@ -1,10 +1,11 @@
 """Experiment runner CLI.
 
 Subcommands: ``run`` executes a sweep config (file or preset name) and
-writes one CSV row per sweep point; ``fit-marcum`` fits and caches the
-exponential surrogate; ``presets`` lists or prints bundled configs;
-``trace`` ray-traces a geometry for debugging. Output is deterministic for
-a fixed config: floats are printed with 17 significant digits, '.' decimal.
+writes one CSV row per sweep point; ``fit-marcum`` fits the exponential
+surrogate and prints its parameters, writing no file; ``presets`` lists or
+prints bundled configs; ``trace`` ray-traces a geometry for debugging.
+Output is deterministic for a fixed config: floats are printed with 17
+significant digits, '.' decimal.
 """
 
 from __future__ import annotations
@@ -223,32 +224,16 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _fit_cache_path() -> Path:
-    return output_dir() / "marcum_fits.json"
-
-
 def _cmd_fit_marcum(args) -> int:
     mode = "fixed_two" if args.fixed_two else "free"
-    key = f"K={float(args.k):.12g},mode={mode}"
-    cache_path = _fit_cache_path()
-    cache = {"schema": "keyhole-fits-v1"}
-    if cache_path.exists():
-        cache.update(json.loads(cache_path.read_text()))
-    if key in cache:
-        entry = cache[key]
-    else:
-        try:
-            fit = fit_exponential_approx(float(args.k), mode)
-        except Exception as exc:
-            print(f"fit error: {exc}", file=sys.stderr)
-            return 3
-        entry = {"K": float(args.k), "mode": mode, "a": fit.a_parameter,
-                 "nu": fit.nu, "mu": fit.mu, "nu2": fit.nu2,
-                 "sup_error": fit.sup_error}
-        cache[key] = entry
-        cache_path.parent.mkdir(parents=True, exist_ok=True)
-        cache_path.write_text(json.dumps(cache, indent=2, sort_keys=True) + "\n")
-    print(json.dumps(entry, sort_keys=True))
+    try:
+        fit = fit_exponential_approx(float(args.k), mode)
+    except Exception as exc:
+        print(f"fit error: {exc}", file=sys.stderr)
+        return 3
+    print(json.dumps({"K": float(args.k), "mode": mode, "a": fit.a_parameter,
+                      "nu": fit.nu, "mu": fit.mu, "nu2": fit.nu2,
+                      "sup_error": fit.sup_error}, sort_keys=True))
     return 0
 
 
@@ -303,7 +288,8 @@ def main(argv=None) -> int:
     p_run.add_argument("--output", default=None, help="CSV output path")
     p_run.set_defaults(func=_cmd_run)
 
-    p_fit = sub.add_parser("fit-marcum", help="fit the exponential surrogate")
+    p_fit = sub.add_parser("fit-marcum",
+                           help="fit the exponential surrogate and print it as JSON")
     p_fit.add_argument("--k", type=float, required=True)
     p_fit.add_argument("--fixed-two", action="store_true")
     p_fit.set_defaults(func=_cmd_fit_marcum)

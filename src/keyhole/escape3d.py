@@ -15,7 +15,7 @@ from typing import Tuple
 import numpy as np
 
 from .channel import ChannelModel
-from .geometry2d import ReflectionRegion
+from .geometry2d import ReflectionRegion, cone_region
 from .mass2d import MassBreakdown, region_mass
 # integrate_adaptive is unused here but stays bound: perfbench's tracer test
 # checks that it patches every module-level binding of it
@@ -79,28 +79,7 @@ class Geometry3D:
 
 def region_bounds_3d(g: Geometry3D, c: int, varphi: float = 0.0) -> ReflectionRegion:
     """Inclination and radial bounds of the 3-D region D_c at one azimuth."""
-    if c < 0:
-        raise ValueError("reflection count must be non-negative")
-    th = g.theta(varphi)
-    az0 = g.abs_z0
-    w = g.w
-
-    if c == 0:
-        phi_min = 0.0
-
-        def r_min(phi):
-            return az0 / np.cos(phi)
-    else:
-        phi_min = math.atan(((c - 1) * w + az0) * math.tan(th) / ((c + 1) * w + az0))
-        sin_th = math.sin(th)
-
-        def r_min(phi):
-            return 2.0 * (c * w + az0) * sin_th / np.sin(th + phi)
-
-    def r_max(phi):
-        return ((c + 1) * w + az0) / np.cos(phi)
-
-    return ReflectionRegion(c=c, phi_min=phi_min, phi_max=th, r_min=r_min, r_max=r_max)
+    return cone_region(c, g.theta(varphi), g.abs_z0, g.w)
 
 
 def mass3d_numeric(g: Geometry3D, model: ChannelModel,

@@ -15,6 +15,8 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from ._kernels import _classify_np
+
 
 @dataclass(frozen=True)
 class Geometry2D:
@@ -72,6 +74,16 @@ class Geometry2D:
             return (self.theta(),)
         return (self.theta(), self.theta_right())
 
+    def cone_tan(self, dx):
+        """Escape-cone half-angle tangent on the side of each offset ``dx``.
+
+        ``dx`` is a point's x minus x0; the right cone serves dx > 0 and the
+        left one the rest. With ``sides="left_only"`` the right tangent is
+        -inf, which no point satisfies.
+        """
+        tan_r = math.tan(self.theta_right()) if self.sides == "both" else -math.inf
+        return np.where(dx > 0.0, tan_r, math.tan(self.theta()))
+
 
 def max_escape_angle(g: Geometry2D) -> float:
     """Widest angle from vertical at which a ray from node 0 clears the gap."""
@@ -116,26 +128,30 @@ class ReflectionRegion:
 
 def region_bounds(g: Geometry2D, c: int, theta: Optional[float] = None) -> ReflectionRegion:
     """Polar bounds of D_c for the region on one side of node 0."""
+    return cone_region(c, g.theta() if theta is None else theta, g.abs_y0, g.w)
+
+
+def cone_region(c: int, th: float, depth: float, w: float) -> ReflectionRegion:
+    """Polar bounds of D_c in a cone of half-angle ``th`` whose apex sits
+    ``depth`` below a strip or slab of width ``w``; the angle is measured
+    from the wall normal."""
     if c < 0:
         raise ValueError("reflection count must be non-negative")
-    th = g.theta() if theta is None else theta
-    ay0 = g.abs_y0
-    w = g.w
 
     if c == 0:
         phi_min = 0.0
 
         def r_min(phi):
-            return ay0 / np.cos(phi)
+            return depth / np.cos(phi)
     else:
-        phi_min = math.atan(((c - 1) * w + ay0) * math.tan(th) / ((c + 1) * w + ay0))
+        phi_min = math.atan(((c - 1) * w + depth) * math.tan(th) / ((c + 1) * w + depth))
         sin_th = math.sin(th)
 
         def r_min(phi):
-            return 2.0 * (c * w + ay0) * sin_th / np.sin(th + phi)
+            return 2.0 * (c * w + depth) * sin_th / np.sin(th + phi)
 
     def r_max(phi):
-        return ((c + 1) * w + ay0) / np.cos(phi)
+        return ((c + 1) * w + depth) / np.cos(phi)
 
     return ReflectionRegion(c=c, phi_min=phi_min, phi_max=th, r_min=r_min, r_max=r_max)
 
@@ -207,26 +223,17 @@ def classify_point(g: Geometry2D, p, c_max: int = 64) -> Optional[Tuple[int, flo
 
     Returns ``None`` when no image with at most ``c_max`` reflections falls
     inside the escape cone. Points exactly on a region boundary classify to
-    the lower count.
+    the lower count. A one-point call of ``_kernels._classify_np``.
     """
     x, y = float(p[0]), float(p[1])
     if not (0.0 <= x <= g.L and 0.0 <= y <= g.w):
         raise ValueError("point lies outside the rectangle")
-    dx = x - g.x0
-    if dx > 0.0:
-        if g.sides == "left_only":
-            return None
-        tan_t = math.tan(g.theta_right())
-    else:
-        tan_t = math.tan(g.theta())
-    adx = abs(dx)
-    ay0 = g.abs_y0
-    for c in range(c_max + 1):
-        yim = y_image(c, y, g.w)
-        vert = yim + ay0
-        if adx <= vert * tan_t:
-            return c, math.sqrt(adx * adx + vert * vert)
-    return None
+    dx = np.array([x - g.x0])
+    c, adx, vert = _classify_np(np.abs(dx), np.array([y]), g.abs_y0, g.w,
+                                g.cone_tan(dx), c_max)
+    if c[0] < 0:
+        return None
+    return int(c[0]), math.sqrt(adx[0] * adx[0] + vert[0] * vert[0])
 
 
 def area_ratio_first_reflection(g: Geometry2D) -> float:

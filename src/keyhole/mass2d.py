@@ -10,7 +10,6 @@ probability of the external node is exp(-rho * mass).
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -72,11 +71,12 @@ def region_mass(regions, model: ChannelModel, dim: int = 2) -> np.ndarray:
     The mass of D_c is the integral of exp(-lambda_c r^p) r^(dim-1) over
     r in [r_min(phi), r_max(phi)] and phi in [phi_min, phi_max], with an
     extra sin(phi) in 3-D, where phi is the inclination and the azimuth is
-    left to the caller. The radial integral is exact through the lower
-    incomplete gamma function; the angular one is 16-point Gauss-Legendre,
-    done for all regions in one array pass. Angles where r_min exceeds
-    r_max add nothing. Empty or zero-width regions, and reflected regions at
-    alpha = 0, have mass 0.
+    left to the caller. The radial integral is exact through the
+    incomplete gamma functions, the upper one where lambda_c r_min^p >
+    max(s, 1.1) with s = dim/p; the angular one is 16-point
+    Gauss-Legendre, done for all regions in one array pass. Angles where
+    r_min exceeds r_max add nothing. Empty or zero-width regions, and
+    reflected regions at alpha = 0, have mass 0.
     """
     out = np.zeros(len(regions))
     live = [i for i, reg in enumerate(regions)
@@ -94,8 +94,17 @@ def region_mass(regions, model: ChannelModel, dim: int = 2) -> np.ndarray:
     r_hi = np.stack([regions[i].r_max(row) for i, row in zip(live, phi)])
     r_lo = np.minimum(np.stack([regions[i].r_min(row) for i, row in zip(live, phi)]),
                       r_hi)
-    gam = lower_inc_gamma(s, lam[:, None] * np.stack([r_hi, r_lo]) ** p)
-    radial = gam[0] - gam[1]
+    x = lam[:, None] * np.stack([r_hi, r_lo]) ** p
+    # far out both lower gamma values sit near Gamma(s) and their
+    # difference is rounding noise; the upper function keeps it accurate.
+    # Not below x = 1.1: SciPy's upper function takes a series there that is
+    # about 70 times slower, and the lower difference loses at most a digit
+    upper = x[1] > max(s, 1.1)
+    radial = np.empty(upper.shape)
+    gam = lower_inc_gamma(s, x[:, ~upper])
+    radial[~upper] = gam[0] - gam[1]
+    q = special.gammaincc(s, x[:, upper])
+    radial[upper] = special.gamma(s) * (q[1] - q[0])
     if dim == 3:
         radial *= np.sin(phi)
     out[live] = lam ** (-s) / p * half * (radial @ _GL16_WEIGHTS)
@@ -237,26 +246,27 @@ def _graded_rule(lo: float, hi: float):
     return lo + (hi - lo) * _GRADED_NODES, (hi - lo) * _GRADED_WEIGHTS
 
 
-def _nested_box_quadrature(f, L: float, w: float, tol_rel: float) -> float:
-    """Integrate f(x, y) over [0, L] x [0, w] with nested adaptive passes.
+def _interior_setup(g: Geometry2D, model: ChannelModel, rho: float):
+    """Constants shared by the two interior-isolation terms.
 
-    Tolerances are scaled to the largest probed value so corner-peaked
-    integrands resolve without chasing unreachable targets; a box whose
-    probes all underflow integrates to zero.
+    Returns (lam_hat, sigma_x, sigma_y, log_pref): the Gaussian-surrogate
+    decay, the curvatures of the exponent rho * pi/(4 lam_hat) Ex(x) Ey(y)
+    about the domain centre along x and y, and minus its value there.
     """
-    probes = [f(x, y) for x in (0.0, 0.5 * L, L) for y in (0.0, 0.5 * w, w)]
-    scale = max(abs(v) for v in probes)
-    if scale == 0.0:
-        return 0.0
-    rel = max(tol_rel, 1e-12)
-    inner_tol = rel * scale * L * 0.01
-    outer_tol = rel * scale * L * w
-
-    def row(y):
-        return integrate_adaptive(lambda x: f(x, y), 0.0, L, inner_tol,
-                                  max_evals=60_000, rel=0.01 * rel)
-
-    return integrate_adaptive(row, 0.0, w, outer_tol, max_evals=20_000, rel=rel)
+    if model.eta != 2.0:
+        raise ValueError("interior isolation terms are derived for eta = 2")
+    lam_hat = _fixed_two_lambda(model)
+    L, w = g.L, g.w
+    rt = math.sqrt(lam_hat)
+    erf_l = math.erf(0.5 * L * rt)
+    erf_w = math.erf(0.5 * w * rt)
+    tau1 = 2.0 / math.sqrt(math.pi) * L * lam_hat ** 1.5 * math.exp(-lam_hat * L * L / 4.0)
+    tau2 = 2.0 / math.sqrt(math.pi) * w * lam_hat ** 1.5 * math.exp(-lam_hat * w * w / 4.0)
+    # curvature of the x-profile (tau1) pairs with the transverse erf factor
+    sigma_x = rho * math.pi * tau1 * erf_w / (2.0 * lam_hat)
+    sigma_y = rho * math.pi * tau2 * erf_l / (2.0 * lam_hat)
+    log_pref = -rho * math.pi / lam_hat * erf_l * erf_w
+    return lam_hat, sigma_x, sigma_y, log_pref
 
 
 def internal_isolation_first_term(g: Geometry2D, model: ChannelModel,
@@ -265,11 +275,8 @@ def internal_isolation_first_term(g: Geometry2D, model: ChannelModel,
     """First interior-isolation term rho * int exp(-rho * int H1N) d r_N.
 
     Interior links ignore reflections and use the Gaussian surrogate with
-    exponent pinned to 2. Three routes:
+    exponent pinned to 2. Two routes:
 
-    - ``direct_quadrature``: the inner integral of the surrogate is itself
-      integrated numerically (separable product of 1-D adaptive
-      quadratures); slow, kept as the reference for ``erf_quadrature``.
     - ``erf_quadrature``: the inner integral uses its exact erf product and
       the outer one a graded Gauss-Legendre tensor rule.
     - ``expansion``: closed form built from a quadratic expansion of the erf
@@ -277,29 +284,11 @@ def internal_isolation_first_term(g: Geometry2D, model: ChannelModel,
       expansion. Only trustworthy while sigma_x L^2 / 4 and
       sigma_y w^2 / 4 stay small.
     """
-    if model.eta != 2.0:
-        raise ValueError("interior isolation terms are derived for eta = 2")
-    lam_hat = _fixed_two_lambda(model)
     rho = inputs.rho
+    lam_hat, sigma_x, sigma_y, log_pref = _interior_setup(g, model, rho)
     L, w = g.L, g.w
     if rho == 0.0:
         return 0.0
-
-    if method == "direct_quadrature":
-        tol_1d = 1e-7 / math.sqrt(lam_hat)
-
-        @functools.lru_cache(maxsize=None)
-        def profile_x(x):
-            return integrate_adaptive(
-                lambda t: math.exp(-lam_hat * (t - x) ** 2), 0.0, L, tol_1d)
-
-        @functools.lru_cache(maxsize=None)
-        def profile_y(y):
-            return integrate_adaptive(
-                lambda t: math.exp(-lam_hat * (t - y) ** 2), 0.0, w, tol_1d)
-
-        return rho * _nested_box_quadrature(
-            lambda x, y: math.exp(-rho * profile_x(x) * profile_y(y)), L, w, 1e-8)
 
     if method == "erf_quadrature":
         # the inner integral is pi/(4 lam_hat) Ex(x) Ey(y), so the outer one
@@ -313,15 +302,6 @@ def internal_isolation_first_term(g: Geometry2D, model: ChannelModel,
 
     if method != "expansion":
         raise ValueError(f"unknown method: {method!r}")
-
-    rt = math.sqrt(lam_hat)
-    erf_l = math.erf(0.5 * L * rt)
-    erf_w = math.erf(0.5 * w * rt)
-    tau1 = 2.0 / math.sqrt(math.pi) * L * lam_hat ** 1.5 * math.exp(-lam_hat * L * L / 4.0)
-    tau2 = 2.0 / math.sqrt(math.pi) * w * lam_hat ** 1.5 * math.exp(-lam_hat * w * w / 4.0)
-    # curvature of the x-profile (tau1) pairs with the transverse erf factor
-    sigma_x = rho * math.pi * tau1 * erf_w / (2.0 * lam_hat)
-    sigma_y = rho * math.pi * tau2 * erf_l / (2.0 * lam_hat)
     if sigma_x <= 0.0 or sigma_y <= 0.0:
         return 0.0
 
@@ -339,8 +319,7 @@ def internal_isolation_first_term(g: Geometry2D, model: ChannelModel,
                + (0.5 * math.pi - vartheta) * (e_big + a2 * vartheta - 1.0)
                - 0.5 * a2 * (math.pi ** 2 / 4.0 - vartheta ** 2)
                + (b2 / 3.0) * (0.5 * math.pi - vartheta) ** 3)
-    prefactor = 2.0 / math.sqrt(sigma_x * sigma_y) \
-        * math.exp(-rho * math.pi / lam_hat * erf_l * erf_w)
+    prefactor = 2.0 / math.sqrt(sigma_x * sigma_y) * math.exp(log_pref)
     return rho * prefactor * bracket
 
 
@@ -369,22 +348,11 @@ def internal_isolation_bridge_term(g: Geometry2D, model: ChannelModel,
     ``method="rect_closed_form"`` replaces each region with its bounding
     box, for which the x and y integrals separate into erf/erfi factors.
     """
-    if model.eta != 2.0:
-        raise ValueError("interior isolation terms are derived for eta = 2")
     rho = inputs.rho
+    lam_hat, sigma_x, sigma_y, log_pref = _interior_setup(g, model, rho)
     if rho == 0.0:
         return 0.0
-    lam_hat = _fixed_two_lambda(model)
-    fit2 = fit_exponential_approx(model.K, "fixed_two")
     L, w, ay0, x0 = g.L, g.w, g.abs_y0, g.x0
-    rt = math.sqrt(lam_hat)
-    erf_l = math.erf(0.5 * L * rt)
-    erf_w = math.erf(0.5 * w * rt)
-    tau1 = 2.0 / math.sqrt(math.pi) * L * lam_hat ** 1.5 * math.exp(-lam_hat * L * L / 4.0)
-    tau2 = 2.0 / math.sqrt(math.pi) * w * lam_hat ** 1.5 * math.exp(-lam_hat * w * w / 4.0)
-    sigma_x = rho * math.pi * tau1 * erf_w / (2.0 * lam_hat)
-    sigma_y = rho * math.pi * tau2 * erf_l / (2.0 * lam_hat)
-    log_pref = -rho * math.pi / lam_hat * erf_l * erf_w
     prefactor = 2.0 * rho
 
     y, wy = _graded_rule(0.0, w)
@@ -393,8 +361,7 @@ def internal_isolation_bridge_term(g: Geometry2D, model: ChannelModel,
     for c in range(min(c_limit, model.C) + 1):
         if model.alpha == 0.0 and c > 0:
             continue
-        lam_bar = math.exp(fit2.nu2) * 2.0 * (model.K + 1.0) * model.beta \
-            * model.alpha ** (-c)
+        lam_bar = lam_hat * model.alpha ** (-c)
         region = cartesian_bounds(g, c)
 
         if method == "quadrature":

@@ -118,20 +118,20 @@ def _escape_counts(cfg: McConfig, need_interior: bool) -> Tuple[int, int, int]:
     tab, inv_step = link_probability_table(model)
     b_coeffs = _b_coefficients(model, c_max)
     if cfg.scenario == "escape2d":
-        dims = (g.L, g.w)
         node0 = (g.x0, g.y0)
-        tans = (math.tan(g.theta()), math.tan(g.theta_right()))
+        cone_tan = g.cone_tan
     else:
         if not g.is_on_axis():
             raise NotImplementedError("3-D trials assume a node on the gap axis")
-        dims = (g.L, g.w)
         node0 = (g.x0, g.y0, g.z0)
         t = math.tan(g.theta())
-        tans = (t, t)
+
+        def cone_tan(rad):
+            return t
     # infinite coefficients (alpha = 0) map far beyond the table, giving H = 0
     b_coeffs = np.where(np.isinf(b_coeffs), 1e9, b_coeffs)
-    return _kernels.escape_trials(cfg.seed, cfg.trials, n, dims, node0, tans,
-                                  b_coeffs, tab, inv_step, need_interior)
+    return _kernels.escape_trials(cfg.seed, cfg.trials, n, (g.L, g.w), node0,
+                                  cone_tan, b_coeffs, tab, inv_step, need_interior)
 
 
 def run_escape_isolation(cfg: McConfig) -> McEstimate:

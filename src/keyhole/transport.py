@@ -117,32 +117,10 @@ def case1_bounds(tg: TransportGeometry, c: int) -> ReflectionRegion:
         raise ValueError("case1_bounds applies to the opposite-gaps layout")
     if c < 0:
         raise ValueError("reflection count must be non-negative")
-    if c % 2 == 1:
+    if c % 2 == 1 or (tg.gaps_straddle() and c != 0):
         return ReflectionRegion.empty_for(c)
-    if tg.gaps_straddle() and c != 0:
-        return ReflectionRegion.empty_for(c)
-
     x0 = tg.node0[0]
-    ay0 = tg.abs_y0
-    depth = (c + 1) * tg.w + ay0
-    theta = tg.theta()
-    phi_min = math.atan((x0 - tg.x_u2) / depth)
-    phi_max = min(theta, math.atan((x0 - tg.x_u1) / depth))
-    if tg.gaps_straddle():
-        phi_min = max(phi_min, 0.0)
-    if phi_max <= phi_min or phi_max <= 0.0:
-        return ReflectionRegion.empty_for(c)
-
-    span = x0 - tg.x_u1
-
-    def r_min(phi):
-        return depth / np.cos(phi)
-
-    def r_max(phi):
-        return span / np.sin(phi)
-
-    return ReflectionRegion(c=c, phi_min=phi_min, phi_max=phi_max,
-                            r_min=r_min, r_max=r_max)
+    return _receiving_region(tg, c, x0 - tg.x_u2, x0 - tg.x_u1)
 
 
 def case1_min_reflections(tg: TransportGeometry, c_max: int) -> Optional[int]:
@@ -161,23 +139,27 @@ def case2_bounds(tg: TransportGeometry, c: int) -> ReflectionRegion:
         raise ValueError("reflection count must be non-negative")
     if c % 2 == 0:
         return ReflectionRegion.empty_for(c)
-
     x0 = tg.node0[0]
-    ay0 = tg.abs_y0
-    depth = (c + 1) * tg.w + ay0
-    theta = tg.theta()
-    phi_min = math.atan((tg.x_l3 - x0) / depth)
-    phi_max = min(theta, math.atan((tg.x_l4 - x0) / depth))
+    return _receiving_region(tg, c, tg.x_l3 - x0, tg.x_l4 - x0)
+
+
+def _receiving_region(tg: TransportGeometry, c: int, near: float,
+                      far: float) -> ReflectionRegion:
+    """Points beyond the receiving gap that rays from node 0 reach through
+    it after c reflections; ``near`` and ``far`` are the gap edges as
+    offsets from node 0 toward the receiver."""
+    depth = (c + 1) * tg.w + tg.abs_y0
+    # a negative near edge (node 0 under the receiving gap) starts at vertical
+    phi_min = max(math.atan(near / depth), 0.0)
+    phi_max = min(tg.theta(), math.atan(far / depth))
     if phi_max <= phi_min or phi_max <= 0.0:
         return ReflectionRegion.empty_for(c)
-
-    span = tg.x_l4 - x0
 
     def r_min(phi):
         return depth / np.cos(phi)
 
     def r_max(phi):
-        return span / np.sin(phi)
+        return far / np.sin(phi)
 
     return ReflectionRegion(c=c, phi_min=phi_min, phi_max=phi_max,
                             r_min=r_min, r_max=r_max)
@@ -262,34 +244,27 @@ def transport_mass_case1(tg: TransportGeometry, model: ChannelModel,
     ``expansion`` (midpoint expansion through second order) or ``leading``
     (first term of the expansion only).
     """
-    if method not in ("quadrature", "expansion", "leading"):
-        raise ValueError(f"unknown method: {method!r}")
-    cs = range(0, model.C + 1, 2)
-    regions = [case1_bounds(tg, c) for c in cs]
-    if method == "quadrature":
-        values = region_mass(regions, model)
-    else:
-        x0 = tg.node0[0]
-        values = [_region_mass_expansion(region, model, span=x0 - tg.x_u1,
-                                         depth=(c + 1) * tg.w + tg.abs_y0,
-                                         leading_only=(method == "leading"))
-                  for c, region in zip(cs, regions)]
-    tag = "quadrature" if method == "quadrature" else "closed_form"
-    return MassBreakdown.from_contributions(zip(cs, values), tag, "directed")
+    return _transport_mass(tg, model, method, range(0, model.C + 1, 2), case1_bounds)
 
 
 def transport_mass_case2(tg: TransportGeometry, model: ChannelModel,
                          method: str = "quadrature") -> MassBreakdown:
     """Mass of the receiving region for same-side gaps, over odd counts."""
+    return _transport_mass(tg, model, method, range(1, model.C + 1, 2), case2_bounds)
+
+
+def _transport_mass(tg: TransportGeometry, model: ChannelModel, method: str,
+                    cs: range, bounds: Callable) -> MassBreakdown:
     if method not in ("quadrature", "expansion", "leading"):
         raise ValueError(f"unknown method: {method!r}")
-    cs = range(1, model.C + 1, 2)
-    regions = [case2_bounds(tg, c) for c in cs]
+    regions = [bounds(tg, c) for c in cs]
     if method == "quadrature":
         values = region_mass(regions, model)
     else:
+        # offset of the receiving gap's far edge from node 0
         x0 = tg.node0[0]
-        values = [_region_mass_expansion(region, model, span=tg.x_l4 - x0,
+        span = x0 - tg.x_u1 if tg.case == "opposite" else tg.x_l4 - x0
+        values = [_region_mass_expansion(region, model, span=span,
                                          depth=(c + 1) * tg.w + tg.abs_y0,
                                          leading_only=(method == "leading"))
                   for c, region in zip(cs, regions)]

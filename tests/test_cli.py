@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
 from keyhole import cli, presets
+from keyhole.specfun import fit_exponential_approx
 
 
 @pytest.mark.parametrize("name", presets.preset_names())
@@ -27,3 +30,13 @@ def test_transport_w_sweep_keeps_node1_above_upper_wall(tmp_path):
     assert rows[1]["mass_quadrature"] == pytest.approx(1.71897, rel=1e-5)
     assert rows[2]["mass_closed"] == pytest.approx(1.63458, rel=1e-5)
     assert rows[2]["mass_quadrature"] == pytest.approx(1.60844, rel=1e-5)
+
+
+def test_fit_marcum_prints_fit_and_writes_no_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("KEYHOLE_OUTPUT_DIR", str(tmp_path))
+    assert cli.main(["fit-marcum", "--k", "4"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    fit = fit_exponential_approx(4.0, "free")
+    assert (printed["nu"], printed["mu"], printed["sup_error"]) == (fit.nu, fit.mu,
+                                                                  fit.sup_error)
+    assert list(tmp_path.iterdir()) == []

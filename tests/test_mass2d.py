@@ -3,8 +3,9 @@ import sys
 
 import numpy as np
 import pytest
+from scipy import integrate
 
-from keyhole import specfun
+from keyhole import mass2d, specfun
 from keyhole.channel import make_channel_model
 from keyhole.escape3d import Geometry3D, mass3d_numeric, region_bounds_3d
 from keyhole.geometry2d import Geometry2D, ReflectionRegion, region_bounds
@@ -182,12 +183,23 @@ def test_internal_first_term_trivial_limits(model):
 
 
 def test_internal_first_term_oracles_agree_small_domain(model):
-    # the two quadrature routes must agree; the box is small to keep it fast
+    # oracle: SciPy quadrature of the inner surrogate integral (a product of
+    # two 1-D profiles) inside a SciPy double integral over the box; the box
+    # is small to keep it fast
     g = make_geometry(w=8.0, L=14.0, gap_center_x=7.0, x0=7.0)
-    inputs = ClusterInputs(rho=0.05, V=g.w * g.L)
-    direct = internal_isolation_first_term(g, model, inputs, "direct_quadrature")
-    erf = internal_isolation_first_term(g, model, inputs, "erf_quadrature")
-    assert direct == pytest.approx(erf, rel=1e-5)
+    rho = 0.05
+    lam_hat = mass2d._fixed_two_lambda(model)
+
+    def profile(t, length):
+        return integrate.quad(lambda u: math.exp(-lam_hat * (u - t) ** 2), 0.0, length,
+                              epsabs=0.0, epsrel=1e-13)[0]
+
+    want = rho * integrate.dblquad(
+        lambda y, x: math.exp(-rho * profile(x, g.L) * profile(y, g.w)),
+        0.0, g.L, 0.0, g.w, epsabs=0.0, epsrel=1e-13)[0]
+    erf = internal_isolation_first_term(g, model, ClusterInputs(rho=rho, V=g.w * g.L),
+                                        "erf_quadrature")
+    assert erf == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
 def test_internal_bridge_trivial_limits(model):
@@ -314,6 +326,22 @@ def test_region_mass_inverted_bounds_add_nothing(model):
                                 r_min=lambda phi: np.full_like(phi, 5.0),
                                 r_max=lambda phi: np.full_like(phi, 4.0))
     assert region_mass([inverted], model)[0] == 0.0
+
+
+def test_far_region_masses_keep_relative_accuracy():
+    # at beta=1e-4 the c=6 mass is 1e-16 of Gamma(s) lambda^-s / p, where a
+    # difference of two lower gamma values is rounding noise (15% off)
+    m = make_channel_model(K=4.0, beta=1e-4, alpha=0.75, C=6)
+    regions = [region_bounds_3d(axis_geometry_3d(), c) for c in range(7)]
+    p = m.radial_exponent()
+    for region, value in zip(regions, region_mass(regions, m, dim=3)):
+        lam = m.lambda_coeff(region.c)
+        want = integrate.dblquad(
+            lambda r, phi: math.exp(-lam * r ** p) * r * r * math.sin(phi),
+            region.phi_min, region.phi_max,
+            lambda phi: min(float(region.r_min(phi)), float(region.r_max(phi))),
+            lambda phi: float(region.r_max(phi)), epsabs=0.0, epsrel=1e-13)[0]
+        assert value == pytest.approx(want, rel=1e-9, abs=0.0), region.c
 
 
 FIG4 = dict(w=20.0, L=100.0, gap_center_x=50.0, x0=50.0)

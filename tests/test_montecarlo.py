@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -83,6 +84,19 @@ def test_isolation_matches_analytic(name, scenario, trials, mass_fn):
     est = run_escape_isolation(McConfig(
         scenario, geometry, model, trials=trials, seed=cfg["mc"]["seed"],
         rho=cfg["rho"], event="isolated_only"))
+    assert abs(est.p_hat - p) <= 4.0 * math.sqrt(p * (1.0 - p) / trials)
+
+
+def test_left_only_isolation_matches_analytic():
+    # the right cone is closed, so about twice as many trials stay isolated
+    # as with both cones open (0.166)
+    cfg, geometry, model = preset_point("fig4", 0.5)
+    geometry = dataclasses.replace(geometry, sides="left_only")
+    rho, trials = 0.05, 3000
+    p = math.exp(-rho * mass_numeric(geometry, model).total)
+    est = run_escape_isolation(McConfig("escape2d", geometry, model, trials=trials,
+                                        seed=3, rho=rho, event="isolated_only"))
+    assert p == pytest.approx(0.4071, abs=1e-4)
     assert abs(est.p_hat - p) <= 4.0 * math.sqrt(p * (1.0 - p) / trials)
 
 

@@ -53,6 +53,17 @@ def test_marcum_domain_errors():
         marcum_q1(-0.5, 1.0)
 
 
+def test_marcum_fails_fast_where_poisson_weight_underflows():
+    # the series used to run 200k terms at (39, 39) before giving up, and at
+    # a = 38.5 it returned a value 3e-4 off
+    for a in (38.5, 39.0):
+        with pytest.raises(ValueError, match="exceeds 37.64"):
+            marcum_q1(a, a)
+    a = 37.6
+    assert marcum_q1(a, a) == pytest.approx(1.0 - special.chndtr(a * a, 2.0, a * a),
+                                            abs=1e-10)
+
+
 def test_marcum_monotonicity_grid():
     bs = np.linspace(0.0, 8.0, 60)
     for a in (0.0, 1.0, 2.83, 4.0):
