@@ -10,9 +10,9 @@ from .specfun import (ApproxFit, FitError, IntegrationError,
                       lower_inc_gamma, marcum_q1)
 from .channel import (ChannelModel, make_channel_model,
                       pair_connect_prob_approx, pair_connect_prob_exact)
-from .geometry2d import (CartesianRegion, Geometry2D, ReflectionRegion,
-                         area_ratio_first_reflection, cartesian_bounds,
-                         classify_point, max_escape_angle, region_bounds)
+from .geometry2d import (Geometry2D, ReflectionRegion,
+                         area_ratio_first_reflection, classify_point,
+                         max_escape_angle, region_bounds)
 from .mass2d import (ClusterInputs, FullConnectivity, MassBreakdown,
                      exterior_isolation_prob, full_connectivity_first_order,
                      internal_isolation_bridge_term,
@@ -20,9 +20,9 @@ from .mass2d import (ClusterInputs, FullConnectivity, MassBreakdown,
                      mass_numeric, multi_external_bridge_prob)
 from .escape3d import (Geometry3D, mass3d_closed_form, mass3d_numeric,
                        region_bounds_3d, volume_ratio_first_reflection)
-from .transport import (Case2Path, TransportGeometry, averaged_connect_prob,
+from .transport import (TransportGeometry, averaged_connect_prob,
                         case1_bounds, case1_min_reflections, case2_bounds,
-                        case2_path, transport_mass_case1, transport_mass_case2,
+                        transport_mass_case1, transport_mass_case2,
                         transport_min_path)
 from .montecarlo import (McConfig, McEstimate, RayPath, TransportEstimate,
                          run_escape_isolation, run_full_connectivity,

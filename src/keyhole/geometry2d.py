@@ -5,6 +5,10 @@ Interior points are grouped into regions D_c by the minimum number of wall
 reflections a signal needs to reach them. Reflections are handled by
 unfolding: mirror images of the strip are stacked above the real one and a
 reflected path becomes a straight segment to the image of its endpoint.
+
+Each D_c has one description, the polar ``ReflectionRegion`` of
+:func:`region_bounds` (angle from the wall normal and unfolded distance from
+node 0, per side of node 0), which the mass and the bridge term integrate.
 """
 
 from __future__ import annotations
@@ -127,7 +131,8 @@ class ReflectionRegion:
 
 
 def region_bounds(g: Geometry2D, c: int, theta: Optional[float] = None) -> ReflectionRegion:
-    """Polar bounds of D_c for the region on one side of node 0."""
+    """Polar bounds of D_c on the side of node 0 whose escape angle is
+    ``theta``, one of ``g.side_thetas()`` (by default the left one)."""
     return cone_region(c, g.theta() if theta is None else theta, g.abs_y0, g.w)
 
 
@@ -154,68 +159,6 @@ def cone_region(c: int, th: float, depth: float, w: float) -> ReflectionRegion:
         return ((c + 1) * w + depth) / np.cos(phi)
 
     return ReflectionRegion(c=c, phi_min=phi_min, phi_max=th, r_min=r_min, r_max=r_max)
-
-
-@dataclass(frozen=True)
-class CartesianRegion:
-    """Cartesian description of D_c on the left of node 0.
-
-    The region is bounded between two polylines built from images of the
-    escape-cone edge: x_left(y) <= x <= x_right(y) for y in [0, w].
-    """
-
-    c: int
-    x0: float
-    abs_y0: float
-    w: float
-    tan_theta: float
-
-    def x_left(self, y):
-        yim = y_image(self.c, np.asarray(y, dtype=float), self.w)
-        return self.x0 - (yim + self.abs_y0) * self.tan_theta
-
-    def x_right(self, y):
-        if self.c == 0:
-            return np.full_like(np.asarray(y, dtype=float), self.x0)
-        yim = y_image(self.c - 1, np.asarray(y, dtype=float), self.w)
-        return self.x0 - (yim + self.abs_y0) * self.tan_theta
-
-    def impact_point(self, i: int) -> float:
-        """x coordinate where the limiting ray meets a wall after i-1 bounces."""
-        return self.x0 - (i * self.w + self.abs_y0) * self.tan_theta
-
-    def contains(self, x: float, y: float) -> bool:
-        if not (0.0 <= y <= self.w):
-            return False
-        return bool(self.x_left(y) <= x <= self.x_right(y))
-
-    def polygon(self):
-        """Corner vertices (degenerate corners collapsed)."""
-        pts = [
-            (float(self.x_right(0.0)), 0.0),
-            (float(self.x_right(self.w)), self.w),
-            (float(self.x_left(self.w)), self.w),
-            (float(self.x_left(0.0)), 0.0),
-        ]
-        out = []
-        for p in pts:
-            if not out or abs(p[0] - out[-1][0]) > 1e-15 or abs(p[1] - out[-1][1]) > 1e-15:
-                out.append(p)
-        return out
-
-    def area(self) -> float:
-        poly = self.polygon()
-        s = 0.0
-        for (x1, y1), (x2, y2) in zip(poly, poly[1:] + poly[:1]):
-            s += x1 * y2 - x2 * y1
-        return abs(s) / 2.0
-
-
-def cartesian_bounds(g: Geometry2D, c: int) -> CartesianRegion:
-    if c < 0:
-        raise ValueError("reflection count must be non-negative")
-    return CartesianRegion(c=c, x0=g.x0, abs_y0=g.abs_y0, w=g.w,
-                           tan_theta=math.tan(g.theta()))
 
 
 def classify_point(g: Geometry2D, p, c_max: int = 64) -> Optional[Tuple[int, float]]:

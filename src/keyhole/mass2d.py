@@ -19,8 +19,10 @@ import numpy as np
 from scipy import special
 
 from .channel import ChannelModel
-from .geometry2d import Geometry2D, cartesian_bounds, region_bounds, y_image
-from .specfun import fit_exponential_approx, integrate_adaptive, lower_inc_gamma
+from .geometry2d import Geometry2D, region_bounds
+# integrate_adaptive is unused here but stays bound: perfbench's tracer test
+# checks that it is patched as mass2d.integrate_adaptive
+from .specfun import fit_exponential_approx, integrate_adaptive, lower_inc_gamma  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -65,6 +67,18 @@ class ClusterInputs:
 _GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
+def _angle_nodes(regions, nodes):
+    """Angles at a rule's ``nodes`` on [-1, 1], one row per region, half of
+    each angular width, and the radial bounds there, r_lo clamped to r_hi."""
+    lo = np.array([reg.phi_min for reg in regions])
+    hi = np.array([reg.phi_max for reg in regions])
+    half = 0.5 * (hi - lo)
+    phi = (0.5 * (hi + lo) + half * nodes[:, None]).T
+    r_hi = np.stack([reg.r_max(row) for reg, row in zip(regions, phi)])
+    r_lo = np.minimum(np.stack([reg.r_min(row) for reg, row in zip(regions, phi)]), r_hi)
+    return phi, half, r_lo, r_hi
+
+
 def region_mass(regions, model: ChannelModel, dim: int = 2) -> np.ndarray:
     """Surrogate mass of each reflection region, one array entry per region.
 
@@ -87,13 +101,7 @@ def region_mass(regions, model: ChannelModel, dim: int = 2) -> np.ndarray:
     p = model.radial_exponent()
     s = dim / p
     lam = np.array([model.lambda_coeff(regions[i].c) for i in live])
-    lo = np.array([regions[i].phi_min for i in live])
-    hi = np.array([regions[i].phi_max for i in live])
-    half = 0.5 * (hi - lo)
-    phi = (0.5 * (hi + lo) + half * _GL16_NODES[:, None]).T
-    r_hi = np.stack([regions[i].r_max(row) for i, row in zip(live, phi)])
-    r_lo = np.minimum(np.stack([regions[i].r_min(row) for i, row in zip(live, phi)]),
-                      r_hi)
+    phi, half, r_lo, r_hi = _angle_nodes([regions[i] for i in live], _GL16_NODES)
     x = lam[:, None] * np.stack([r_hi, r_lo]) ** p
     # far out both lower gamma values sit near Gamma(s) and their
     # difference is rounding noise; the upper function keeps it accurate.
@@ -172,7 +180,9 @@ def mass_closed_form(g: Geometry2D, model: ChannelModel) -> MassBreakdown:
     The direct region uses an expansion about phi = 0; reflected regions
     expand the inner radial bound about theta/2 and keep terms through
     second order. Quality degrades as theta grows; a warning is emitted
-    beyond 0.3 rad.
+    beyond 0.3 rad. Only the total is checked against :func:`mass_numeric`;
+    per-c values for c >= 2 are far off (fig4 geometry, alpha = 1: c = 2
+    gives 0.280 against 0.497 by quadrature), but c <= 1 dominates the total.
     """
     if model.eta != 2.0:
         raise ValueError("the closed form is derived for eta = 2")
@@ -238,7 +248,13 @@ def _graded_unit_rule(order: int = 8, levels: int = 24):
 
 
 _GRADED_NODES, _GRADED_WEIGHTS = _graded_unit_rule()
-_GL24_NODES, _GL24_WEIGHTS = np.polynomial.legendre.leggauss(24)
+# the bridge term's polar rule: in angle the graded rule with 4 levels (80
+# nodes) on [-1, 1]; in r the default one as the powers 1, t, t^2 of its
+# nodes and its weights w and w t
+_t, _w = _graded_unit_rule(levels=4)
+_BRIDGE_ANGLE_NODES, _BRIDGE_ANGLE_WEIGHTS = 2.0 * _t - 1.0, 2.0 * _w
+_BRIDGE_R_POWERS = np.stack((np.ones_like(_GRADED_NODES), _GRADED_NODES, _GRADED_NODES ** 2))
+_BRIDGE_R_MOMENTS = np.stack((_GRADED_WEIGHTS, _GRADED_WEIGHTS * _GRADED_NODES), axis=1)
 
 
 def _graded_rule(lo: float, hi: float):
@@ -323,14 +339,20 @@ def internal_isolation_first_term(g: Geometry2D, model: ChannelModel,
     return rho * prefactor * bracket
 
 
-def _gaussian_segment_integral(k: float, m: float, lo: float, hi: float) -> float:
-    """Integral of exp(k (t - m)^2) over [lo, hi] for any sign of k."""
+def _gaussian_factor(lam: float, sigma: float, centre: float, lo: float, hi: float):
+    """Integral of exp(sigma (t - centre)^2 - lam t^2) over [lo, hi] as a
+    pair (q, s) with the integral exp(q) s, for any sign of sigma - lam."""
+    k = sigma - lam
     if k == 0.0:
-        return hi - lo
+        # the exponent is linear: sigma centre^2 + b t
+        b = -2.0 * sigma * centre
+        seg = hi - lo if b == 0.0 else (math.exp(b * hi) - math.exp(b * lo)) / b
+        return sigma * centre * centre, seg
+    m = sigma * centre / k
     r = math.sqrt(abs(k))
-    if k < 0.0:
-        return 0.5 * math.sqrt(math.pi) / r * (math.erf(r * (hi - m)) - math.erf(r * (lo - m)))
-    return 0.5 * math.sqrt(math.pi) / r * float(special.erfi(r * (hi - m)) - special.erfi(r * (lo - m)))
+    erf = math.erf if k < 0.0 else special.erfi
+    return (-sigma * lam * centre * centre / k,
+            0.5 * math.sqrt(math.pi) / r * float(erf(r * (hi - m)) - erf(r * (lo - m))))
 
 
 def internal_isolation_bridge_term(g: Geometry2D, model: ChannelModel,
@@ -340,71 +362,64 @@ def internal_isolation_bridge_term(g: Geometry2D, model: ChannelModel,
 
     Evaluates rho * int H0N (1 - (1/V) int H1N)^(N-1) d r_N with Gaussian
     surrogates for both link factors, summed over reflection regions up to
-    ``c_limit`` (default 2; higher orders are negligible). The node is
-    assumed centred in the gap, so one side is integrated and doubled.
+    ``c_limit`` (default 2; higher orders are negligible) on each side of
+    node 0 in ``g.side_thetas()``, the polar regions of
+    :func:`geometry2d.region_bounds`.
 
-    ``method="quadrature"`` integrates over the exact region polylines,
-    graded Gauss-Legendre in y and 24-point Gauss-Legendre across each row;
-    ``method="rect_closed_form"`` replaces each region with its bounding
-    box, for which the x and y integrals separate into erf/erfi factors.
+    ``method="quadrature"`` integrates over each region in polar form, with
+    the Jacobian r, on a tensor rule graded toward both ends in angle and in
+    r: where a wall meets the slanted side of a reflected region, its
+    boundary layer is a layer in angle too. ``method="rect_closed_form"``
+    replaces each region with its bounding box, whose x and y integrals
+    separate into erf/erfi factors.
     """
+    if method not in ("quadrature", "rect_closed_form"):
+        raise ValueError(f"unknown method: {method!r}")
     rho = inputs.rho
     lam_hat, sigma_x, sigma_y, log_pref = _interior_setup(g, model, rho)
-    if rho == 0.0:
+    # (side sign, region) for each side with an escape cone: the left side
+    # runs toward -x, the right toward +x; reflected links vanish at alpha = 0
+    parts = [(sign, region_bounds(g, c, th))
+             for c in range(min(c_limit, model.C) + 1 if model.alpha > 0.0 else 1)
+             for sign, th in zip((-1.0, 1.0), g.side_thetas()) if th > 0.0]
+    if rho == 0.0 or not parts:
         return 0.0
-    L, w, ay0, x0 = g.L, g.w, g.abs_y0, g.x0
-    prefactor = 2.0 * rho
+    signs, regions = zip(*parts)
+    c = np.array([reg.c for reg in regions], dtype=float)
+    lam_bar = lam_hat * model.alpha ** -c
+    # in unfolded offsets (u, v) from node 0 the integrand is exp(log_pref
+    # - lam_bar (u^2 + v^2) + sigma_x (u - cx)^2 + sigma_y (v - cy)^2): the
+    # domain centre sits at cx across and, as unfolding maps y = w/2 to
+    # height (c + 1/2) w, at cy up
+    cx = np.array(signs) * (0.5 * g.L - g.x0)
+    cy = g.abs_y0 + (c + 0.5) * g.w
 
-    y, wy = _graded_rule(0.0, w)
-    u, wu = 0.5 * (_GL24_NODES + 1.0), 0.5 * _GL24_WEIGHTS
+    if method == "quadrature":
+        phi, half, r_lo, r_hi = _angle_nodes(regions, _BRIDGE_ANGLE_NODES)
+        cos, sin, lam = np.cos(phi), np.sin(phi), lam_bar[:, None]
+        # along each ray r = r_lo + width t the exponent is e0 + e1 t + e2 t^2,
+        # with log_pref inside so it stays representable at high density
+        width = r_hi - r_lo
+        du, dv = r_lo * sin - cx[:, None], r_lo * cos - cy[:, None]
+        e0 = log_pref - lam * r_lo * r_lo + sigma_x * du * du + sigma_y * dv * dv
+        e1 = 2.0 * width * (sigma_x * du * sin + sigma_y * dv * cos - lam * r_lo)
+        e2 = width * width * (sigma_x * sin * sin + sigma_y * cos * cos - lam)
+        expo = np.stack((e0, e1, e2), axis=-1) @ _BRIDGE_R_POWERS
+        # the Jacobian r = r_lo + width t splits into the two moments
+        moments = np.exp(expo, out=expo) @ _BRIDGE_R_MOMENTS
+        inner = width * (r_lo * moments[..., 0] + width * moments[..., 1])
+        return rho * float(half @ (inner @ _BRIDGE_ANGLE_WEIGHTS))
+
     total = 0.0
-    for c in range(min(c_limit, model.C) + 1):
-        if model.alpha == 0.0 and c > 0:
-            continue
-        lam_bar = lam_hat * model.alpha ** (-c)
-        region = cartesian_bounds(g, c)
-
-        if method == "quadrature":
-            # y on the graded rule, x mapped from [0, 1] across the region at
-            # each height; the exponential prefactor is folded into the
-            # exponent so the integrand stays representable at high density
-            xl = region.x_left(y)
-            width = np.maximum(region.x_right(y) - xl, 0.0)
-            x = xl[:, None] + width[:, None] * u
-            vert = y_image(c, y, w) + ay0
-            expo = (log_pref - lam_bar * ((x - x0) ** 2 + vert[:, None] ** 2)
-                    + sigma_y * (y[:, None] - 0.5 * w) ** 2
-                    + sigma_x * (x - 0.5 * L) ** 2)
-            contribution = float(wy @ (width * (np.exp(expo) @ wu)))
-        elif method == "rect_closed_form":
-            # bounding box of the region, widest extent of each polyline
-            ys = (0.0, w)
-            lb = min(float(region.x_left(y)) for y in ys)
-            ub = max(float(region.x_right(y)) for y in ys)
-            kx = sigma_x - lam_bar
-            mx = (sigma_x * 0.5 * L - lam_bar * x0) / kx if kx != 0.0 else 0.0
-            qx = sigma_x * (0.5 * L) ** 2 - lam_bar * x0 ** 2 - kx * mx * mx
-            seg_x = _gaussian_segment_integral(kx, mx, lb, ub)
-
-            # vertical factor: the image height is linear in y with slope +-1
-            sgn = 1.0 if c % 2 == 0 else -1.0
-            off = y_image(c, 0.0, w) + ay0
-            ky = sigma_y - lam_bar
-            if ky != 0.0:
-                my = (sigma_y * 0.5 * w + sgn * lam_bar * off) / ky
-                qy = sigma_y * (0.5 * w) ** 2 - lam_bar * off * off - ky * my * my
-                seg_y = _gaussian_segment_integral(ky, my, 0.0, w)
-                contribution = math.exp(log_pref + qx + qy) * seg_x * seg_y
-            else:
-                y_raw = integrate_adaptive(
-                    lambda y: math.exp(-lam_bar * (sgn * y + off) ** 2
-                                       + sigma_y * (y - 0.5 * w) ** 2),
-                    0.0, w, 1e-12)
-                contribution = math.exp(log_pref + qx) * seg_x * y_raw
-        else:
-            raise ValueError(f"unknown method: {method!r}")
-        total += contribution
-    return prefactor * total
+    for region, lam, mid_u, mid_v in zip(regions, lam_bar, cx, cy):
+        # the bounding box: across, from r_max(phi) sin(phi) at phi_min to
+        # that at phi_max; up, the c-th image of the strip
+        near, far = (float(region.r_max(phi)) * math.sin(phi)
+                     for phi in (region.phi_min, region.phi_max))
+        q_u, seg_u = _gaussian_factor(lam, sigma_x, mid_u, near, far)
+        q_v, seg_v = _gaussian_factor(lam, sigma_y, mid_v, mid_v - 0.5 * g.w, mid_v + 0.5 * g.w)
+        total += math.exp(log_pref + q_u + q_v) * seg_u * seg_v
+    return rho * total
 
 
 @dataclass(frozen=True)

@@ -69,15 +69,12 @@ class TransportGeometry:
                 raise ValueError("same-side gaps must be disjoint, receiver to the right")
             if y1 >= 0.0:
                 raise ValueError("node 1 must sit below the lower wall")
+            if not (self.x_l3 <= x1 <= self.x_l4):
+                raise ValueError("node 1 must sit under its gap")
 
     @property
     def abs_y0(self) -> float:
         return -self.node0[1]
-
-    @property
-    def abs_y1(self) -> float:
-        x1, y1 = self.node1
-        return y1 - self.w if self.case == "opposite" else -y1
 
     def theta(self) -> float:
         """Maximum escape angle from the transmitter gap toward the receiver."""
@@ -163,36 +160,6 @@ def _receiving_region(tg: TransportGeometry, c: int, near: float,
 
     return ReflectionRegion(c=c, phi_min=phi_min, phi_max=phi_max,
                             r_min=r_min, r_max=r_max)
-
-
-@dataclass(frozen=True)
-class Case2Path:
-    c: int
-    phi: float
-    r: float
-    feasible: bool
-
-
-def case2_path(tg: TransportGeometry, c: int) -> Case2Path:
-    """Point-to-point reflected path between the two nodes after c bounces.
-
-    The angle and unfolded length follow from the image construction for any
-    count; the path is feasible only for odd counts whose angle falls inside
-    the admissible window.
-    """
-    if tg.case != "same_side":
-        raise ValueError("case2_path applies to the same-side layout")
-    if c < 0:
-        raise ValueError("reflection count must be non-negative")
-    x0, x1 = tg.node0[0], tg.node1[0]
-    vert = (c + 1) * tg.w + tg.abs_y0 + tg.abs_y1
-    phi = math.atan((x1 - x0) / vert)
-    r = vert / math.cos(phi)
-    if c % 2 == 0:
-        return Case2Path(c=c, phi=phi, r=r, feasible=False)
-    phi_low = math.atan((tg.x_l2 - x0) / (2.0 * tg.w + tg.abs_y0))
-    return Case2Path(c=c, phi=phi, r=r,
-                     feasible=phi_low <= phi <= tg.theta())
 
 
 def _region_mass_expansion(region: ReflectionRegion, model: ChannelModel,

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from keyhole.geometry2d import (Geometry2D, area_ratio_first_reflection,
-                                cartesian_bounds, classify_point,
-                                max_escape_angle, region_bounds, y_image)
+                                classify_point, max_escape_angle,
+                                region_bounds, y_image)
 from keyhole.montecarlo import trace_ray
 
 
@@ -58,34 +59,16 @@ def test_phi_min_nesting():
     assert all(m < th for m in mins)
 
 
-def test_cartesian_impact_point():
-    g = Geometry2D(w=20.0, L=100.0, eps=0.3, gap_center_x=15.0, x0=15.0, y0=-2.0)
-    region = cartesian_bounds(g, 0)
-    expected = 15.0 - 22.0 * math.tan(g.theta())
-    assert region.impact_point(1) == pytest.approx(expected)
-    assert region.impact_point(1) == pytest.approx(13.35, abs=0.01)
+def polar_image(g, c, x, y):
+    """Angle from vertical and unfolded distance from node 0 of the c-th
+    image of the point (x, y), which lies left of node 0."""
+    vert = y_image(c, y, g.w) + g.abs_y0
+    return math.atan2(g.x0 - x, vert), math.hypot(g.x0 - x, vert)
 
 
 def test_cartesian_contains_point_above_gap():
     g = make_geometry()
-    assert cartesian_bounds(g, 0).contains(g.x0, g.w / 2.0)
-
-
-def test_polar_cartesian_membership_agree():
-    g = make_geometry()
-    rng = np.random.default_rng(11)
-    for _ in range(2000):
-        x = rng.uniform(35.0, 50.0)
-        y = rng.uniform(0.0, g.w)
-        dx = g.x0 - x
-        for c in range(5):
-            yim = y_image(c, y, g.w)
-            vert = yim + g.abs_y0
-            phi = math.atan2(dx, vert)
-            r = math.hypot(dx, vert)
-            in_polar = region_bounds(g, c).contains(phi, r)
-            in_cart = cartesian_bounds(g, c).contains(x, y)
-            assert in_polar == in_cart
+    assert region_bounds(g, 0).contains(*polar_image(g, 0, g.x0, g.w / 2.0))
 
 
 def test_region_tiling_unique_membership():
@@ -98,7 +81,7 @@ def test_region_tiling_unique_membership():
         x = rng.uniform(g.x0 - span, g.x0)
         y = rng.uniform(0.0, g.w)
         members = [c for c in range(c_max + 1)
-                   if cartesian_bounds(g, c).contains(x, y)]
+                   if region_bounds(g, c).contains(*polar_image(g, c, x, y))]
         res = classify_point(g, (x, y), c_max=c_max)
         if res is None:
             assert members == []
@@ -166,8 +149,12 @@ def test_area_ratio_values():
 
 def test_area_ratio_matches_polygon_areas():
     g = make_geometry(y0=-3.7)
-    a0 = cartesian_bounds(g, 0).area()
-    a1 = cartesian_bounds(g, 1).area()
+
+    def area(reg):
+        return integrate.quad(lambda phi: 0.5 * float(reg.r_max(phi) ** 2 - reg.r_min(phi) ** 2),
+                              reg.phi_min, reg.phi_max, epsabs=0.0, epsrel=1e-12)[0]
+
+    a0, a1 = (area(region_bounds(g, c)) for c in (0, 1))
     assert (a0 + a1) / a0 == pytest.approx(area_ratio_first_reflection(g), abs=1e-9)
 
 

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from keyhole import mass2d, specfun
+from keyhole import _kernels, mass2d, specfun
 from keyhole.channel import make_channel_model
 from keyhole.escape3d import Geometry3D, mass3d_numeric, region_bounds_3d
-from keyhole.geometry2d import Geometry2D, ReflectionRegion, region_bounds
+from keyhole.geometry2d import Geometry2D, ReflectionRegion, region_bounds, y_image
 from keyhole.mass2d import (ClusterInputs, MassBreakdown,
                             exterior_isolation_prob,
                             full_connectivity_first_order,
@@ -56,6 +56,14 @@ def test_left_only_is_half_of_both(model):
     g1 = make_geometry(sides="left_only")
     assert mass_numeric(g1, model).total == pytest.approx(
         0.5 * mass_numeric(g2, model).total, rel=1e-9)
+    # the bridge term halves too, by either method, on the small box where
+    # it is not negligible
+    both, left = (make_geometry(**SMALL_BOX, sides=sides) for sides in ("both", "left_only"))
+    inputs = ClusterInputs(rho=0.05, V=both.w * both.L)
+    for method in ("quadrature", "rect_closed_form"):
+        assert internal_isolation_bridge_term(left, model, inputs, method=method) \
+            == pytest.approx(0.5 * internal_isolation_bridge_term(both, model, inputs, method=method),
+                             rel=1e-14, abs=0.0)
 
 
 def test_closed_form_direct_term_structure(model):
@@ -370,6 +378,108 @@ def test_internal_terms_pinned(term, box, rho, beta, want):
     else:
         got = internal_isolation_bridge_term(g, m, inputs)
     assert got == pytest.approx(want, rel=1e-8, abs=0.0)
+
+
+def bridge_monte_carlo(g, model, rho, n, seed, c_limit=2):
+    """The bridge term as a volume integral over the strip by uniform
+    sampling: each point takes its minimal reflection count and unfolded
+    offsets from the kernels' classifier. Returns (estimate, standard error).
+    """
+    lam_hat, sigma_x, sigma_y, log_pref = mass2d._interior_setup(g, model, rho)
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, g.L, n)
+    y = rng.uniform(0.0, g.w, n)
+    dx = x - g.x0
+    c, adx, vert = _kernels._classify_np(np.abs(dx), y, g.abs_y0, g.w, g.cone_tan(dx), c_limit)
+    hit = c >= 0
+    lam_bar = lam_hat * model.alpha ** -c[hit].astype(float)
+    f = np.zeros(n)
+    f[hit] = np.exp(log_pref - lam_bar * (adx[hit] ** 2 + vert[hit] ** 2)
+                    + sigma_y * (y[hit] - 0.5 * g.w) ** 2
+                    + sigma_x * (x[hit] - 0.5 * g.L) ** 2)
+    scale = rho * g.L * g.w
+    return scale * f.mean(), scale * f.std(ddof=1) / math.sqrt(n)
+
+
+@pytest.mark.parametrize("layout", [{}, {"sides": "left_only"}, {"x0": 7.1}],
+                         ids=["centred", "left_only", "off_centre"])
+def test_internal_bridge_matches_monte_carlo(layout):
+    # one side only, or node 0 off the gap centre, so the two sides differ
+    g = make_geometry(**{**SMALL_BOX, **layout})
+    m = make_channel_model(K=4.0, beta=1e-3, alpha=0.75, C=6)
+    got = internal_isolation_bridge_term(g, m, ClusterInputs(rho=0.05, V=g.w * g.L))
+    want, se = bridge_monte_carlo(g, m, 0.05, 400_000, seed=8)
+    assert abs(got - want) <= 4.0 * se, (got, want, se)
+
+
+def bridge_nested_quadrature(g, model, rho, c_limit=2):
+    """The bridge term by nested ``scipy.integrate.quad`` over each region in
+    Cartesian form: at each height y, D_c spans the offsets from x0 between
+    the images of the cone edge after c - 1 and after c reflections."""
+    lam_hat, sigma_x, sigma_y, log_pref = mass2d._interior_setup(g, model, rho)
+    edges = np.linspace(0.0, g.w, 41)
+    total = 0.0
+    for c in range(c_limit + 1):
+        lam_bar = lam_hat * model.alpha ** -c
+        for sign, th in zip((-1.0, 1.0), g.side_thetas()):
+            def f(dx, y):
+                vert = y_image(c, y, g.w) + g.abs_y0
+                return math.exp(log_pref - lam_bar * (dx * dx + vert * vert)
+                                + sigma_y * (y - 0.5 * g.w) ** 2
+                                + sigma_x * (g.x0 + sign * dx - 0.5 * g.L) ** 2)
+
+            def row(y):
+                near = 0.0 if c == 0 else (y_image(c - 1, y, g.w) + g.abs_y0) * math.tan(th)
+                far = (y_image(c, y, g.w) + g.abs_y0) * math.tan(th)
+                return integrate.quad(f, near, far, args=(y,), epsabs=0.0,
+                                      epsrel=1e-13, limit=200)[0]
+
+            total += sum(integrate.quad(row, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                         for a, b in zip(edges[:-1], edges[1:]))
+    return rho * total
+
+
+@pytest.mark.parametrize("box, beta, rho", [
+    (FIG4, 1e-3, 0.1),
+    (dict(w=20.0, L=100.0, eps=1.0, gap_center_x=40.0, x0=39.7), 1e-4, 0.3),
+])
+def test_internal_bridge_matches_nested_quadrature(box, beta, rho):
+    # at these densities the wall layers are a few percent of w thick, and
+    # where a wall meets the slanted side of a reflected region they are
+    # layers in angle as well; 16-point Gauss-Legendre in angle is 1e-7 off
+    g = make_geometry(**box)
+    m = make_channel_model(K=4.0, beta=beta, alpha=0.75, C=6)
+    got = internal_isolation_bridge_term(g, m, ClusterInputs(rho=rho, V=g.w * g.L))
+    assert got == pytest.approx(bridge_nested_quadrature(g, m, rho), rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("box, beta, rho", [
+    # sigma - lambda changes sign between c=0 and c=1, so both the erf and
+    # the erfi factor are used
+    (dict(SMALL_BOX, gap_center_x=5.0, x0=5.1), 1e-3, 0.01),
+    (dict(w=20.0, L=100.0, eps=1.0, gap_center_x=40.0, x0=39.7), 1e-4, 0.3),
+])
+def test_internal_bridge_rect_is_box_integral(box, beta, rho):
+    # rect_closed_form integrates the bridge integrand over each region's
+    # bounding box: y over the strip, x between the images of the cone edge
+    # after c - 1 (x0 itself for c=0) and c reflections at their widest
+    g = make_geometry(**box)
+    m = make_channel_model(K=4.0, beta=beta, alpha=0.75, C=6)
+    lam_hat, sigma_x, sigma_y, log_pref = mass2d._interior_setup(g, m, rho)
+    want = 0.0
+    for c in range(3):
+        lam_bar = lam_hat * m.alpha ** -c
+        for sign, th in zip((-1.0, 1.0), g.side_thetas()):
+            near = 0.0 if c == 0 else ((c - 1) * g.w + g.abs_y0) * math.tan(th)
+            far = ((c + 1) * g.w + g.abs_y0) * math.tan(th)
+            want += integrate.dblquad(
+                lambda dx, y: math.exp(log_pref - lam_bar * (dx * dx + (y_image(c, y, g.w) + g.abs_y0) ** 2)
+                                       + sigma_y * (y - 0.5 * g.w) ** 2
+                                       + sigma_x * (g.x0 + sign * dx - 0.5 * g.L) ** 2),
+                0.0, g.w, near, far, epsabs=0.0, epsrel=1e-12)[0]
+    got = internal_isolation_bridge_term(g, m, ClusterInputs(rho=rho, V=g.w * g.L),
+                                         method="rect_closed_form")
+    assert got == pytest.approx(rho * want, rel=1e-9, abs=0.0)
 
 
 def test_mass_paths_do_not_use_adaptive_rule(monkeypatch, model):

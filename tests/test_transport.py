@@ -7,7 +7,7 @@ import pytest
 from keyhole.channel import make_channel_model
 from keyhole.transport import (TransportGeometry, averaged_connect_prob,
                                case1_bounds, case1_min_reflections,
-                               case2_bounds, case2_path, min_paths,
+                               case2_bounds, min_paths,
                                transport_mass_case1, transport_mass_case2,
                                transport_min_path)
 
@@ -77,54 +77,42 @@ def test_case1_straddling_gaps_direct_only():
 
 def test_case2_parity():
     tg = same_side_geometry()
-    assert not case2_path(tg, 0).feasible
-    assert not case2_path(tg, 2).feasible
-    assert case2_path(tg, 1).feasible
+    (x0, y0), (x1, y1) = tg.node0, tg.node1
+    # same-side paths take odd counts only: none up to 0, c=1 up to 1 and 2
+    assert min_paths(tg, x0, y0, x1, y1, 0)[0] == -1
+    assert min_paths(tg, x0, y0, x1, y1, 1)[0] == 1
+    assert min_paths(tg, x0, y0, x1, y1, 2)[0] == 1
     assert case2_bounds(tg, 2).empty
 
 
 def test_case2_path_triangle():
+    # one bounce off the upper wall: 10 across and 2*10 + 2 + 2 up
     tg = same_side_geometry()
-    path = case2_path(tg, 1)
-    assert path.feasible
-    assert path.phi == pytest.approx(math.atan(10.0 / 24.0))
-    assert path.r == pytest.approx(26.0)
-
-
-def test_case2_vertical_path():
-    tg = same_side_geometry(node1=(15.0, -3.0))
-    path = case2_path(tg, 1)
-    assert path.phi == 0.0
-    assert path.r == pytest.approx(2.0 * 10.0 + 2.0 + 3.0)
+    c, r = transport_min_path(tg, tg.node0, tg.node1, 6)
+    assert c == 1
+    assert r == pytest.approx(26.0, rel=1e-12)
 
 
 def test_case2_path_outside_cone_infeasible():
-    tg = same_side_geometry(node1=(40.0, -0.5), x_l3=23.0, x_l4=26.0)
-    path = case2_path(tg, 1)
-    assert path.phi > tg.theta()
-    assert not path.feasible
+    tg = same_side_geometry(node1=(40.0, -0.5), x_l3=38.0, x_l4=42.0)
+    # the c=1 and c=3 images of node 1 lie outside node 0's escape cone
+    for c in (1, 3):
+        vert = (c + 1) * tg.w + 2.0 + 0.5
+        assert math.atan((40.0 - 15.0) / vert) > tg.theta()
+    c, r = transport_min_path(tg, tg.node0, tg.node1, 6)
+    assert c == 5
+    assert r == pytest.approx(math.hypot(25.0, 6 * tg.w + 2.5), rel=1e-12)
 
 
-def test_case2_path_matches_ray_trace(model):
-    from keyhole.geometry2d import Geometry2D
-    from keyhole.montecarlo import trace_ray
-    tg = same_side_geometry()
-    path = case2_path(tg, 3)
-    assert path.feasible
-    g = Geometry2D(w=tg.w, L=tg.L, eps=tg.x_l2 - tg.x_l1,
-                   gap_center_x=0.5 * (tg.x_l1 + tg.x_l2), x0=tg.node0[0],
-                   y0=tg.node0[1])
-    direction = (math.sin(path.phi), math.cos(path.phi))
-    traced = trace_ray(g, tg.node0, direction, max_reflections=3)
-    assert traced.reflections == 3
-    # the trace stops where the ray meets the wall again; node 1 sits |y1|
-    # farther along the same straight continuation
-    stop = traced.points[-1]
-    assert stop[1] == pytest.approx(0.0, abs=1e-12)
-    assert traced.length + tg.abs_y1 / math.cos(path.phi) \
-        == pytest.approx(path.r, rel=1e-12)
-    assert stop[0] + tg.abs_y1 * math.tan(path.phi) \
-        == pytest.approx(tg.node1[0], abs=1e-9)
+def test_same_side_exit_must_fall_in_receiver_gap():
+    # the c=1 ray toward node 1 clears the transmitter gap but meets the
+    # lower wall at x=20.17, left of the receiver gap; c=3 gets through
+    tg = same_side_geometry(x_l2=15.983, x_l3=20.395, x_l4=20.751,
+                            node0=(14.033, -2.756), node1=(20.685, -1.899))
+    got = transport_min_path(tg, tg.node0, tg.node1, 6)
+    want = traced_min_path(tg, tg.node0, tg.node1, 6)
+    assert got[0] == want[0] == 3
+    assert got[1] == pytest.approx(want[1], rel=1e-9)
 
 
 def test_mass_case1_empty_when_unreachable(model):
@@ -185,16 +173,6 @@ def test_mass_case2_mirror_symmetry(model):
 def test_mass_case2_parity_only_odd(model):
     br = transport_mass_case2(same_side_geometry(), model)
     assert all(c % 2 == 1 for c, _ in br.per_c)
-
-
-def test_transport_min_path_consistent_with_case2(model):
-    tg = same_side_geometry()
-    got = transport_min_path(tg, tg.node0, tg.node1, 6)
-    assert got is not None
-    c, r = got
-    path = case2_path(tg, c)
-    assert path.feasible
-    assert r == pytest.approx(path.r, rel=1e-12)
 
 
 def traced_min_path(tg, p0, p1, c_max):
@@ -319,6 +297,8 @@ def test_geometry_validation():
         same_side_geometry(x_l3=15.0, x_l4=18.0)   # overlaps transmitter gap
     with pytest.raises(ValueError):
         same_side_geometry(node0=(10.0, -2.0))     # outside its gap
+    with pytest.raises(ValueError):
+        same_side_geometry(node1=(40.0, -2.0))     # outside its gap
     with pytest.raises(ValueError):
         opposite_geometry(y0=1.0)
     with pytest.raises(ValueError):
