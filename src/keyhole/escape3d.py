@@ -16,10 +16,10 @@ import numpy as np
 
 from .channel import ChannelModel
 from .geometry2d import ReflectionRegion, cone_region
-from .mass2d import MassBreakdown, region_mass
+from .mass2d import MassBreakdown, escape_about, region_expansion, region_mass
 # integrate_adaptive is unused here but stays bound: perfbench's tracer test
 # checks that it patches every module-level binding of it
-from .specfun import integrate_adaptive, lower_inc_gamma  # noqa: F401
+from .specfun import integrate_adaptive  # noqa: F401
 
 # azimuths of the periodic trapezoid rule in mass3d_numeric off axis; 128
 # keeps it to 1e-13 relative even for a node 0.05 inside the rim of a gap
@@ -104,71 +104,17 @@ def mass3d_numeric(g: Geometry3D, model: ChannelModel,
     return MassBreakdown.from_contributions(enumerate(per_c), "quadrature", "full")
 
 
-def _per_c_closed_form_3d(theta: float, w: float, az0: float,
-                          model: ChannelModel, c: int) -> float:
-    lam = model.lambda_coeff(c)
-    if math.isinf(lam):
-        return 0.0
-    mu = model.fit.mu
-    s = 3.0 / mu
-    pref = lam ** (-s) / mu
-
-    if c == 0:
-        r_lo = az0
-        r_hi = w + az0
-        lead = (1.0 - math.cos(theta)) * (lower_inc_gamma(s, lam * r_hi ** mu)
-                                          - lower_inc_gamma(s, lam * r_lo ** mu))
-        # integral of phi^2 sin(phi) over [0, theta]
-        i2 = (2.0 - theta ** 2) * math.cos(theta) + 2.0 * theta * math.sin(theta) - 2.0
-        quad = i2 * 0.5 * mu * lam ** s * (
-            r_hi ** 3 * math.exp(-lam * r_hi ** mu)
-            - r_lo ** 3 * math.exp(-lam * r_lo ** mu))
-        return max(pref * (lead + quad), 0.0)
-
-    phi_min = math.atan(((c - 1) * w + az0) * math.tan(theta) / ((c + 1) * w + az0))
-    r_hi = (c + 1) * w + az0
-    u = 1.5 * theta
-    r0 = 2.0 * (c * w + az0) * math.sin(theta) / math.sin(u)
-
-    lead = (math.cos(phi_min) - math.cos(theta)) * (
-        lower_inc_gamma(s, lam * r_hi ** mu) - lower_inc_gamma(s, lam * r0 ** mu))
-
-    a_coef = mu * lam ** s * r0 ** 3 * math.exp(-lam * r0 ** mu)
-    cot_u = 1.0 / math.tan(u)
-    b_coef = 0.5 * (cot_u ** 2 * (mu * lam * r0 ** mu - 4.0) - 1.0)
-
-    ct, st = math.cos(theta), math.sin(theta)
-    cp, sp = math.cos(phi_min), math.sin(phi_min)
-    # angular moments against sin(phi) over [phi_min, theta]
-    c3 = (2.0 - theta ** 2) * ct + (phi_min ** 2 - 2.0) * cp \
-        + 2.0 * theta * st - 2.0 * phi_min * sp
-    d3 = st - 0.5 * theta * ct - sp + (phi_min - 0.5 * theta) * cp
-    e3 = (2.0 - 0.25 * theta ** 2) * ct + theta * st \
-        + ((phi_min - 0.5 * theta) ** 2 - 2.0) * cp + (theta - 2.0 * phi_min) * sp
-
-    quad_outer = 0.5 * mu * lam ** s * r_hi ** 3 * math.exp(-lam * r_hi ** mu) * c3
-    linear_inner = cot_u * a_coef * d3
-    quad_inner = a_coef * b_coef * e3
-    return max(pref * (lead + quad_outer + linear_inner + quad_inner), 0.0)
-
-
 def mass3d_closed_form(g: Geometry3D, model: ChannelModel) -> MassBreakdown:
-    """Small-angle closed form of the 3-D connectivity mass (on-axis node).
-
-    Only the total is checked against :func:`mass3d_numeric`; per-c values
-    for c >= 2 are far off (fig9 geometry, alpha = 1: c = 2 gives 1.369
-    against 2.217 by quadrature), but c <= 1 dominates the total.
+    """Small-angle closed form of the 3-D connectivity mass (on-axis node):
+    :func:`mass2d.region_expansion` over the regions of :func:`mass3d_numeric`.
+    Only the total is held to :func:`mass3d_numeric`; see
+    :func:`mass2d.region_expansion` on per-c values.
     """
-    if model.eta != 2.0:
-        raise ValueError("the closed form is derived for eta = 2")
     if not g.is_on_axis():
         raise ValueError("the closed form assumes a node on the gap axis")
-    theta = g.theta()
-    per_c = []
-    for c in range(model.C + 1):
-        value = 2.0 * math.pi * _per_c_closed_form_3d(theta, g.w, g.abs_z0, model, c)
-        per_c.append((c, value))
-    return MassBreakdown.from_contributions(per_c, "closed_form", "full")
+    regions = [region_bounds_3d(g, c) for c in range(model.C + 1)]
+    per_c = 2.0 * math.pi * region_expansion(regions, model, 3, escape_about(regions))
+    return MassBreakdown.from_contributions(enumerate(per_c), "closed_form", "full")
 
 
 def volume_ratio_first_reflection(g: Geometry3D) -> float:

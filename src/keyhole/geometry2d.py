@@ -14,8 +14,8 @@ node 0, per side of node 0), which the mass and the bridge term integrate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -104,23 +104,38 @@ def y_image(c: int, y, w: float):
     return (c + 1) * w - y
 
 
+def line_radius(line, phi):
+    """Polar radius from node 0, at angle ``phi`` (scalar or ndarray), of the
+    line ``(p, cn, sn)`` at distance p whose unit normal is (cn, sn)."""
+    p, cn, sn = line
+    return p / (cn * np.cos(phi) + sn * np.sin(phi))
+
+
 @dataclass(frozen=True)
 class ReflectionRegion:
     """One region D_c in polar form: angles in [phi_min, phi_max] and radii
-    in [r_min(phi), r_max(phi)] measured from the external node."""
+    between the ``inner`` and ``outer`` bounding lines, measured from the
+    external node. Every side of a D_c is straight: a wall image or a ray
+    through a gap edge."""
 
     c: int
     phi_min: float
     phi_max: float
-    r_min: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    r_max: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    inner: Tuple[float, float, float]     # see line_radius
+    outer: Tuple[float, float, float]
     empty: bool = False
 
     @classmethod
     def empty_for(cls, c: int) -> "ReflectionRegion":
         """Region for count c that no point reaches."""
-        return cls(c=c, phi_min=0.0, phi_max=0.0, r_min=np.zeros_like,
-                   r_max=np.zeros_like, empty=True)
+        return cls(c=c, phi_min=0.0, phi_max=0.0, inner=(0.0, 1.0, 0.0),
+                   outer=(0.0, 1.0, 0.0), empty=True)
+
+    def r_min(self, phi):
+        return line_radius(self.inner, phi)
+
+    def r_max(self, phi):
+        return line_radius(self.outer, phi)
 
     def contains(self, phi: float, r: float) -> bool:
         if self.empty:
@@ -139,26 +154,19 @@ def region_bounds(g: Geometry2D, c: int, theta: Optional[float] = None) -> Refle
 def cone_region(c: int, th: float, depth: float, w: float) -> ReflectionRegion:
     """Polar bounds of D_c in a cone of half-angle ``th`` whose apex sits
     ``depth`` below a strip or slab of width ``w``; the angle is measured
-    from the wall normal."""
+    from the wall normal. The outer line is the wall image at height
+    (c+1) w; the inner one the real wall (c = 0) or the ray through the gap
+    edge that reflects c times.
+    """
     if c < 0:
         raise ValueError("reflection count must be non-negative")
-
     if c == 0:
-        phi_min = 0.0
-
-        def r_min(phi):
-            return depth / np.cos(phi)
+        phi_min, inner = 0.0, (depth, 1.0, 0.0)
     else:
         phi_min = math.atan(((c - 1) * w + depth) * math.tan(th) / ((c + 1) * w + depth))
-        sin_th = math.sin(th)
-
-        def r_min(phi):
-            return 2.0 * (c * w + depth) * sin_th / np.sin(th + phi)
-
-    def r_max(phi):
-        return ((c + 1) * w + depth) / np.cos(phi)
-
-    return ReflectionRegion(c=c, phi_min=phi_min, phi_max=th, r_min=r_min, r_max=r_max)
+        inner = (2.0 * (c * w + depth) * math.sin(th), math.sin(th), math.cos(th))
+    return ReflectionRegion(c=c, phi_min=phi_min, phi_max=th, inner=inner,
+                            outer=((c + 1) * w + depth, 1.0, 0.0))
 
 
 def classify_point(g: Geometry2D, p, c_max: int = 64) -> Optional[Tuple[int, float]]:

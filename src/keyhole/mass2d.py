@@ -1,11 +1,13 @@
 """Planar connectivity mass and first-order full-connectivity assembly.
 
-The connectivity mass is the integral of the pair-connection probability H
-over the reachable interior, summed over reflection regions. Two evaluation
-routes are kept side by side: a quadrature route (authoritative; the radial
-integral exact, fixed-order Gauss-Legendre in angle, see region_mass) and
-the small-angle closed form with quadratic correction terms. The isolation
-probability of the external node is exp(-rho * mass).
+The connectivity mass integrates the pair-connection surrogate over the
+reflection regions D_c, each a ``geometry2d.ReflectionRegion`` (an angle
+window between two bounding lines). Two routes take lists of regions, in
+2-D, in 3-D and for transport: :func:`region_mass`, the quadrature
+(authoritative; exact in r, Gauss-Legendre in angle), and
+:func:`region_expansion`, its small-angle closed form. The isolation
+probability of the external node is exp(-rho * mass); the interior-isolation
+terms complete :func:`full_connectivity_first_order`.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from scipy import special
 
 from .channel import ChannelModel
-from .geometry2d import Geometry2D, region_bounds
+from .geometry2d import Geometry2D, line_radius, region_bounds
 # integrate_adaptive is unused here but stays bound: perfbench's tracer test
 # checks that it is patched as mass2d.integrate_adaptive
 from .specfun import fit_exponential_approx, integrate_adaptive, lower_inc_gamma  # noqa: F401
@@ -67,6 +69,12 @@ class ClusterInputs:
 _GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
+def _bound_lines(regions):
+    """Inner and outer bounding lines of the regions, each as the columns
+    (p, cn, sn) of :func:`geometry2d.line_radius`, one entry per region."""
+    return np.array([(reg.inner, reg.outer) for reg in regions]).transpose(1, 2, 0)
+
+
 def _angle_nodes(regions, nodes):
     """Angles at a rule's ``nodes`` on [-1, 1], one row per region, half of
     each angular width, and the radial bounds there, r_lo clamped to r_hi."""
@@ -74,9 +82,18 @@ def _angle_nodes(regions, nodes):
     hi = np.array([reg.phi_max for reg in regions])
     half = 0.5 * (hi - lo)
     phi = (0.5 * (hi + lo) + half * nodes[:, None]).T
-    r_hi = np.stack([reg.r_max(row) for reg, row in zip(regions, phi)])
-    r_lo = np.minimum(np.stack([reg.r_min(row) for reg, row in zip(regions, phi)]), r_hi)
+    inner, outer = _bound_lines(regions)[..., None]
+    r_hi = line_radius(outer, phi)
+    r_lo = np.minimum(line_radius(inner, phi), r_hi)
     return phi, half, r_lo, r_hi
+
+
+def _live(regions, model: ChannelModel):
+    """Indices of the regions that can carry mass: non-empty, of positive
+    angular width, and linked (reflected links vanish at alpha = 0)."""
+    return [i for i, reg in enumerate(regions)
+            if not reg.empty and reg.phi_max > reg.phi_min
+            and math.isfinite(model.lambda_coeff(reg.c))]
 
 
 def region_mass(regions, model: ChannelModel, dim: int = 2) -> np.ndarray:
@@ -93,9 +110,7 @@ def region_mass(regions, model: ChannelModel, dim: int = 2) -> np.ndarray:
     reflected regions at alpha = 0, have mass 0.
     """
     out = np.zeros(len(regions))
-    live = [i for i, reg in enumerate(regions)
-            if not reg.empty and reg.phi_max > reg.phi_min
-            and math.isfinite(model.lambda_coeff(reg.c))]
+    live = _live(regions, model)
     if not live:
         return out
     p = model.radial_exponent()
@@ -119,6 +134,78 @@ def region_mass(regions, model: ChannelModel, dim: int = 2) -> np.ndarray:
     return out
 
 
+def region_expansion(regions, model: ChannelModel, dim: int, about) -> np.ndarray:
+    """Small-angle closed form of :func:`region_mass` (eta = 2 only), one
+    entry per region.
+
+    ``about`` holds one pair (phi_in, phi_out) per region, the angles about
+    which the inner and the outer bound are expanded. A bound line at
+    distance p_l with normal angle phi_n has r(phi) = p_l / cos(phi - phi_n);
+    its gamma(s, lam r^p), s = dim/p, is expanded to second order about its
+    angle phi_c. With r_c = r(phi_c), x = lam r_c^p, t = tan(phi_c - phi_n)
+    and a = p lam^s r_c^dim e^-x the bound's term is
+
+        M0 gamma(s, x) + a t M1 + a/2 ((dim - p x) t^2 + 1 + t^2) M2,
+
+    with M_k the integral of (phi - phi_c)^k, times sin(phi) in 3-D, over
+    the region's angles, on the Gauss-Legendre nodes of :func:`region_mass`.
+    The mass is lam^-s / p (outer term - inner term), clamped at 0.
+
+    The series is accurate where the bound's r varies little over the
+    window. The inner bound of a reflected escape region (c >= 1) does not:
+    it runs from about 2 (c w + d) / (1 + k) to c w + d, with d the node's
+    depth and k = tan(phi_min) / tan(theta) = ((c-1) w + d) / ((c+1) w + d),
+    however small theta is. So those per-c values do not converge as the gap
+    closes (w = 20, d = 2, gaps 0.8 to 0.05: c = 1 stays 1.5e-3 to 1.9e-3
+    off the quadrature in 2-D and 2.3e-2 in 3-D, c = 2 99% off). The direct
+    region converges as theta^4, and c <= 1 dominates the totals.
+    """
+    if model.eta != 2.0:
+        raise ValueError("the closed form is derived for eta = 2")
+    out = np.zeros(len(regions))
+    live = _live(regions, model)
+    if not live:
+        return out
+    p = model.radial_exponent()
+    s = dim / p
+    regs = [regions[i] for i in live]
+    lam = np.array([model.lambda_coeff(reg.c) for reg in regs])
+    # rows (inner, outer) of each bound's expansion angle and line
+    phi_c = np.asarray(about, dtype=float)[live].T
+    pl, cn, sn = _bound_lines(regs).transpose(1, 0, 2)
+    den = cn * np.cos(phi_c) + sn * np.sin(phi_c)
+    t = (cn * np.sin(phi_c) - sn * np.cos(phi_c)) / den
+    r_c = pl / den
+    x = lam * r_c ** p
+    a = p * lam ** s * r_c ** dim * np.exp(-x)
+    phi, half, _, _ = _angle_nodes(regs, _GL16_NODES)
+    d = phi - phi_c[:, :, None]
+    weight = np.sin(phi) if dim == 3 else 1.0
+    m0, m1, m2 = (half * ((d ** k * weight) @ _GL16_WEIGHTS) for k in range(3))
+    term = (m0 * lower_inc_gamma(s, x) + a * t * m1
+            + 0.5 * a * ((dim - p * x) * t * t + 1.0 + t * t) * m2)
+    out[live] = np.maximum(lam ** (-s) / p * (term[1] - term[0]), 0.0)
+    return out
+
+
+def escape_about(regions):
+    """Expansion angles (inner, outer) of escape regions for
+    :func:`region_expansion`: the outer bound about 0, the inner about 0 for
+    the direct region and about theta/2 for a reflected one."""
+    return [(0.5 * reg.phi_max if reg.c else 0.0, 0.0) for reg in regions]
+
+
+def _escape_regions(g: Geometry2D, model: ChannelModel):
+    """D_0 .. D_C on each side of node 0, side fastest."""
+    return [region_bounds(g, c, th) for c in range(model.C + 1) for th in g.side_thetas()]
+
+
+def _sum_sides(g: Geometry2D, values, method: str) -> MassBreakdown:
+    """Breakdown of values over :func:`_escape_regions`, summed over sides."""
+    per_c = values.reshape(-1, len(g.side_thetas())).sum(axis=1)
+    return MassBreakdown.from_contributions(enumerate(per_c), method, g.sides)
+
+
 def mass_numeric(g: Geometry2D, model: ChannelModel) -> MassBreakdown:
     """Connectivity mass by quadrature over the escape angle.
 
@@ -127,76 +214,22 @@ def mass_numeric(g: Geometry2D, model: ChannelModel) -> MassBreakdown:
     Gauss-Legendre, see :func:`region_mass`), so this serves as the oracle
     for :func:`mass_closed_form`.
     """
-    thetas = g.side_thetas()
-    regions = [region_bounds(g, c, th) for c in range(model.C + 1) for th in thetas]
-    per_c = region_mass(regions, model).reshape(model.C + 1, len(thetas)).sum(axis=1)
-    return MassBreakdown.from_contributions(enumerate(per_c), "quadrature", g.sides)
-
-
-def _per_c_closed_form(theta: float, w: float, ay0: float,
-                       model: ChannelModel, c: int) -> float:
-    lam = model.lambda_coeff(c)
-    if math.isinf(lam):
-        return 0.0
-    mu = model.fit.mu
-    s = 2.0 / mu
-    pref = lam ** (-s) / mu
-
-    if c == 0:
-        r_lo = ay0
-        r_hi = w + ay0
-        leading = theta * (lower_inc_gamma(s, lam * r_hi ** mu)
-                           - lower_inc_gamma(s, lam * r_lo ** mu))
-        quad = (mu * theta ** 3 / 6.0) * lam ** s * (
-            r_hi ** 2 * math.exp(-lam * r_hi ** mu)
-            - r_lo ** 2 * math.exp(-lam * r_lo ** mu))
-        return max(pref * (leading + quad), 0.0)
-
-    phi_min = math.atan(((c - 1) * w + ay0) * math.tan(theta) / ((c + 1) * w + ay0))
-    r_hi = (c + 1) * w + ay0
-    u = 1.5 * theta
-    # inner radial bound evaluated at the expansion point theta/2
-    r0 = 2.0 * (c * w + ay0) * math.sin(theta) / math.sin(u)
-
-    leading = (theta - phi_min) * (lower_inc_gamma(s, lam * r_hi ** mu)
-                                   - lower_inc_gamma(s, lam * r0 ** mu))
-
-    # Taylor coefficients of the inner-bound gamma term about theta/2
-    a_coef = mu * lam ** s * r0 ** 2 * math.exp(-lam * r0 ** mu)
-    cot_u = 1.0 / math.tan(u)
-    csc2_u = 1.0 / math.sin(u) ** 2
-    b_coef = 0.5 * (cot_u ** 2 * (mu * lam * r0 ** mu - 2.0) - csc2_u)
-
-    linear = 0.5 * a_coef * cot_u * (theta * phi_min - phi_min ** 2)
-    quad_inner = (a_coef * b_coef / 3.0) * (theta ** 3 / 8.0 - (phi_min - 0.5 * theta) ** 3)
-    quad_outer = (mu / 6.0) * (theta ** 3 - phi_min ** 3) * lam ** s \
-        * r_hi ** 2 * math.exp(-lam * r_hi ** mu)
-    return max(pref * (leading + linear + quad_inner + quad_outer), 0.0)
+    return _sum_sides(g, region_mass(_escape_regions(g, model), model), "quadrature")
 
 
 def mass_closed_form(g: Geometry2D, model: ChannelModel) -> MassBreakdown:
-    """Small-angle closed form of the connectivity mass (eta = 2 only).
-
-    The direct region uses an expansion about phi = 0; reflected regions
-    expand the inner radial bound about theta/2 and keep terms through
-    second order. Quality degrades as theta grows; a warning is emitted
-    beyond 0.3 rad. Only the total is checked against :func:`mass_numeric`;
-    per-c values for c >= 2 are far off (fig4 geometry, alpha = 1: c = 2
-    gives 0.280 against 0.497 by quadrature), but c <= 1 dominates the total.
+    """Small-angle closed form of the connectivity mass (eta = 2 only):
+    :func:`region_expansion` over the regions of :func:`mass_numeric`. It
+    warns beyond theta = 0.3 rad. Only the total is held to
+    :func:`mass_numeric`; see :func:`region_expansion` on per-c values.
     """
-    if model.eta != 2.0:
-        raise ValueError("the closed form is derived for eta = 2")
-    per_c = []
     for th in g.side_thetas():
         if th > 0.3:
             warnings.warn(f"escape angle {th:.3f} rad is large; "
                           "closed-form accuracy degrades", stacklevel=2)
-    for c in range(model.C + 1):
-        total_c = 0.0
-        for th in g.side_thetas():
-            total_c += _per_c_closed_form(th, g.w, g.abs_y0, model, c)
-        per_c.append((c, total_c))
-    return MassBreakdown.from_contributions(per_c, "closed_form", g.sides)
+    regions = _escape_regions(g, model)
+    values = region_expansion(regions, model, 2, escape_about(regions))
+    return _sum_sides(g, values, "closed_form")
 
 
 def exterior_isolation_prob(mass_total: float, inputs: ClusterInputs) -> float:
@@ -438,13 +471,19 @@ def full_connectivity_first_order(g: Geometry2D, model: ChannelModel,
 
     One minus the external-node isolation probability minus the interior
     lone-node terms; clamped to [0, 1] with a flag because the first-order
-    expansion can leave the unit interval at low density.
+    expansion can leave the unit interval at low density. A term that is
+    not finite raises ``ValueError`` instead: clamping it would report a
+    probability the terms do not support.
     """
     if mass is None:
         mass = mass_numeric(g, model)
     ext = exterior_isolation_prob(mass.total, inputs)
     first = internal_isolation_first_term(g, model, inputs, method="erf_quadrature")
     bridge = internal_isolation_bridge_term(g, model, inputs)
+    for name, term in (("exterior isolation", ext), ("first interior term", first),
+                       ("bridge term", bridge)):
+        if not math.isfinite(term):
+            raise ValueError(f"full connectivity: the {name} is {term}")
     raw = 1.0 - ext - first + bridge
     clamped = not (0.0 <= raw <= 1.0)
     return FullConnectivity(p_fc=min(1.0, max(0.0, raw)), clamped=clamped,

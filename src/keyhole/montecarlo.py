@@ -99,14 +99,6 @@ def _link_table(a: float, points: int) -> Tuple[np.ndarray, float]:
     return tab, (points - 1) / b_hi
 
 
-def _b_coefficients(model: ChannelModel, c_max: int) -> np.ndarray:
-    out = np.empty(c_max + 1)
-    for c in range(c_max + 1):
-        coeff = model.b_coefficient(c) if c <= model.C else math.inf
-        out[c] = coeff
-    return out
-
-
 def _escape_counts(cfg: McConfig, need_interior: bool) -> Tuple[int, int, int]:
     model = cfg.channel
     if model.eta != 2.0:
@@ -116,7 +108,7 @@ def _escape_counts(cfg: McConfig, need_interior: bool) -> Tuple[int, int, int]:
     c_max = min(c_max, model.C)
     n = cfg.node_count()
     tab, inv_step = link_probability_table(model)
-    b_coeffs = _b_coefficients(model, c_max)
+    b_coeffs = np.array([model.b_coefficient(c) for c in range(c_max + 1)])
     if cfg.scenario == "escape2d":
         node0 = (g.x0, g.y0)
         cone_tan = g.cone_tan

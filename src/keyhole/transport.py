@@ -16,8 +16,7 @@ import numpy as np
 
 from .channel import ChannelModel, pair_connect_prob_exact
 from .geometry2d import ReflectionRegion
-from .mass2d import MassBreakdown, region_mass
-from .specfun import lower_inc_gamma
+from .mass2d import MassBreakdown, region_expansion, region_mass
 
 
 @dataclass(frozen=True)
@@ -151,55 +150,9 @@ def _receiving_region(tg: TransportGeometry, c: int, near: float,
     phi_max = min(tg.theta(), math.atan(far / depth))
     if phi_max <= phi_min or phi_max <= 0.0:
         return ReflectionRegion.empty_for(c)
-
-    def r_min(phi):
-        return depth / np.cos(phi)
-
-    def r_max(phi):
-        return far / np.sin(phi)
-
+    # inner: the receiving wall's image; outer: the vertical through the far edge
     return ReflectionRegion(c=c, phi_min=phi_min, phi_max=phi_max,
-                            r_min=r_min, r_max=r_max)
-
-
-def _region_mass_expansion(region: ReflectionRegion, model: ChannelModel,
-                           span: float, depth: float,
-                           leading_only: bool) -> float:
-    """Quadratic expansion about the midpoint angle of the receiving window."""
-    if region.empty:
-        return 0.0
-    lam = model.lambda_coeff(region.c)
-    if math.isinf(lam):
-        return 0.0
-    mu = model.fit.mu
-    s = 2.0 / mu
-    pref = lam ** (-s) / mu
-
-    phi_mid = 0.5 * (region.phi_min + region.phi_max)
-    width = region.phi_max - region.phi_min
-    csc = 1.0 / math.sin(phi_mid)
-    sec = 1.0 / math.cos(phi_mid)
-    r_far = span * csc
-    r_near = depth * sec
-
-    lead = width * (lower_inc_gamma(s, lam * r_far ** mu)
-                    - lower_inc_gamma(s, lam * r_near ** mu))
-    if leading_only:
-        return pref * lead
-
-    cot = 1.0 / math.tan(phi_mid)
-    tanm = math.tan(phi_mid)
-    a_t = math.exp(-lam * r_far ** mu) * mu * lam ** s * span ** 2 * csc ** 2
-    b_t = csc ** 2 * (2.0 + math.cos(2.0 * phi_mid)
-                      - mu * lam * math.cos(phi_mid) ** 2 * span ** mu * csc ** mu)
-    d_t = math.exp(-lam * r_near ** mu) * mu * lam ** s * depth ** 2 * sec ** 2
-    e_t = sec ** 2 * (-2.0 + math.cos(2.0 * phi_mid)
-                      + mu * lam * depth ** mu * sec ** mu * math.sin(phi_mid) ** 2)
-
-    # the linear term integrates to zero about the midpoint
-    half = 0.5 * width
-    quad = (a_t * b_t + d_t * e_t) / 6.0 * (half ** 3 - (-half) ** 3)
-    return max(pref * (lead + quad), 0.0)
+                            inner=(depth, 1.0, 0.0), outer=(far, 0.0, 1.0))
 
 
 def transport_mass_case1(tg: TransportGeometry, model: ChannelModel,
@@ -207,9 +160,9 @@ def transport_mass_case1(tg: TransportGeometry, model: ChannelModel,
     """Mass of the receiving region for opposite gaps, over even counts.
 
     ``method`` selects the evaluation route: ``quadrature`` (authoritative;
-    :func:`mass2d.region_mass`, exact in r and Gauss-Legendre in angle),
-    ``expansion`` (midpoint expansion through second order) or ``leading``
-    (first term of the expansion only).
+    :func:`mass2d.region_mass`, exact in r and Gauss-Legendre in angle) or
+    ``expansion`` (:func:`mass2d.region_expansion`, both bounds about the
+    midpoint of each window).
     """
     return _transport_mass(tg, model, method, range(0, model.C + 1, 2), case1_bounds)
 
@@ -222,19 +175,15 @@ def transport_mass_case2(tg: TransportGeometry, model: ChannelModel,
 
 def _transport_mass(tg: TransportGeometry, model: ChannelModel, method: str,
                     cs: range, bounds: Callable) -> MassBreakdown:
-    if method not in ("quadrature", "expansion", "leading"):
+    if method not in ("quadrature", "expansion"):
         raise ValueError(f"unknown method: {method!r}")
     regions = [bounds(tg, c) for c in cs]
     if method == "quadrature":
         values = region_mass(regions, model)
     else:
-        # offset of the receiving gap's far edge from node 0
-        x0 = tg.node0[0]
-        span = x0 - tg.x_u1 if tg.case == "opposite" else tg.x_l4 - x0
-        values = [_region_mass_expansion(region, model, span=span,
-                                         depth=(c + 1) * tg.w + tg.abs_y0,
-                                         leading_only=(method == "leading"))
-                  for c, region in zip(cs, regions)]
+        # both bounds about the midpoint of the receiving window
+        mids = [0.5 * (reg.phi_min + reg.phi_max) for reg in regions]
+        values = region_expansion(regions, model, 2, [(m, m) for m in mids])
     tag = "quadrature" if method == "quadrature" else "closed_form"
     return MassBreakdown.from_contributions(zip(cs, values), tag, "directed")
 

@@ -73,6 +73,28 @@ def test_closed_form_matches_quadrature(alpha):
     assert abs(closed - quad) / quad <= 0.10
 
 
+def test_closed_form_direct_region_converges(model):
+    # the c = 0 relative expansion error falls as theta^4, about 16x per
+    # halving of the gap; a wrong second-order coefficient leaves theta^2,
+    # about 4x
+    gaps = []
+    for radius in (0.4, 0.2, 0.1, 0.05, 0.025):
+        g = make_geometry(gap_radius=radius)
+        closed = mass3d_closed_form(g, model).per_c[0][1]
+        gaps.append(abs(closed / mass3d_numeric(g, model).per_c[0][1] - 1.0))
+    assert all(a >= 10.0 * b for a, b in zip(gaps, gaps[1:])), gaps
+
+
+def test_closed_form_reflected_term_pinned():
+    # fig9 geometry at alpha = 1: the c = 1 term against a 40-digit mpmath
+    # evaluation of the same expansion; sin-weighted moments integrated by
+    # hand, such as (2 - theta^2) cos(theta) + 2 theta sin(theta) - 2, lose
+    # six digits to cancellation here
+    m = make_channel_model(K=4.0, beta=1e-3, alpha=1.0, C=6)
+    got = mass3d_closed_form(make_geometry(), m).per_c[1][1]
+    assert got == pytest.approx(42.856626045923274897, rel=1e-13, abs=0.0)
+
+
 def test_closed_form_direct_term_positive(model):
     # the direct term must stay positive across escape angles
     for eps in (0.05, 0.2, 0.8, 2.0):

@@ -80,6 +80,18 @@ def test_closed_form_direct_term_structure(model):
     assert got == pytest.approx(leading + cubic, rel=1e-12)
 
 
+def test_closed_form_direct_region_converges(model):
+    # the c = 0 relative expansion error falls as theta^4, about 16x per
+    # halving of the gap; a wrong second-order coefficient leaves theta^2,
+    # about 4x
+    gaps = []
+    for eps in (0.8, 0.4, 0.2, 0.1, 0.05):
+        g = make_geometry(eps=eps, sides="left_only")
+        closed = mass_closed_form(g, model).per_c[0][1]
+        gaps.append(abs(closed / mass_numeric(g, model).per_c[0][1] - 1.0))
+    assert all(a >= 10.0 * b for a, b in zip(gaps, gaps[1:])), gaps
+
+
 def test_truncation_drops_reflected_mass():
     g = make_geometry()
     m6 = make_channel_model(K=4.0, beta=1e-3, alpha=1.0, C=6)
@@ -259,6 +271,15 @@ def test_full_connectivity_dense_limit(model):
     assert res.p_fc == pytest.approx(1.0, abs=1e-6)
 
 
+def test_full_connectivity_rejects_non_finite_term():
+    # a wide cone runs D_2 far past the strip ends (to x = -146), where the
+    # bridge integrand overflows; a clamp would report p_fc = 1
+    g = make_geometry(eps=2.0, gap_center_x=40.0, x0=40.5, y0=-0.5)
+    m = make_channel_model(K=4.0, beta=1e-3, alpha=0.75, C=6)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="bridge term is inf"):
+        full_connectivity_first_order(g, m, ClusterInputs(rho=0.3, V=g.w * g.L))
+
+
 def opposite_gaps():
     return TransportGeometry(w=10.0, L=100.0, case="opposite", x_l1=15.0,
                              x_l2=15.3, x_u1=14.5, x_u2=14.8,
@@ -331,8 +352,7 @@ def test_region_mass_matches_adaptive_rule(name, beta):
 def test_region_mass_inverted_bounds_add_nothing(model):
     # angles where r_min > r_max hold no points, so they must not subtract
     inverted = ReflectionRegion(c=1, phi_min=0.1, phi_max=0.2,
-                                r_min=lambda phi: np.full_like(phi, 5.0),
-                                r_max=lambda phi: np.full_like(phi, 4.0))
+                                inner=(5.0, 1.0, 0.0), outer=(4.0, 1.0, 0.0))
     assert region_mass([inverted], model)[0] == 0.0
 
 

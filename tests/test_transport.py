@@ -131,6 +131,16 @@ def test_mass_case1_expansion_matches_quadrature(model, w):
     assert abs(exp.total - quad.total) / quad.total <= 0.05
 
 
+@pytest.mark.parametrize("mass, geometry", [(transport_mass_case1, opposite_geometry),
+                                            (transport_mass_case2, same_side_geometry)])
+def test_expansion_rejects_eta_other_than_two(mass, geometry):
+    # the expansion is derived for eta = 2; the quadrature takes any eta
+    m = make_channel_model(K=4.0, beta=1e-3, eta=3.0, alpha=0.85, C=6)
+    assert math.isfinite(mass(geometry(), m).total)
+    with pytest.raises(ValueError, match="eta = 2"):
+        mass(geometry(), m, "expansion")
+
+
 def test_mass_case1_per_c_decreasing(model):
     for w in (10.0, 15.0, 20.0):
         br = transport_mass_case1(opposite_geometry(w=w), model)
