@@ -4,7 +4,10 @@ Counter-based uniform draws (a splitmix-style integer hash of seed, trial
 and draw index) make every trial a pure function of the configuration, so
 counts do not depend on execution order: a draw is identified by its
 (trial, stream, index), and a kernel that skips a draw it does not need
-leaves every other draw unchanged.
+leaves every other draw unchanged. :func:`escape_trials` uses this to skip
+the coordinates of nodes beyond the cones' reach and the pair graph in
+trials whose event does not depend on it; its counts are those of a kernel
+that draws everything.
 """
 
 from __future__ import annotations
@@ -88,68 +91,112 @@ def _classify_np(adx, v, av0, w, tan_t, c_max):
     return c_out, adx, vert_out
 
 
+EVENTS = ("isolated_only", "joint", "full")
+
+
+def cone_reach(w, depth, tan_max, c_max):
+    """Farthest offset along the walls from node 0 at which
+    :func:`_classify_np` can place a node in a cone: the far corner of
+    D_c_max, whose image sits (c_max + 1) w + ``depth`` above node 0. The
+    factor 1 + 1e-9 covers the rounding of the classifier's vert * tan."""
+    return ((c_max + 1) * w + depth) * tan_max * (1.0 + 1e-9)
+
+
+def _table_arg(coeff, r, power):
+    """Marcum argument coeff * r^power; power 1 (eta = 2) takes no power."""
+    return coeff * (r if power == 1.0 else r ** power)
+
+
 def escape_trials(seed, trials, n, dims, node0, cone_tan, b_coeffs, tab,
-                  inv_step, need_interior):
-    """Event counts (isolated, joint, full_connectivity) over ``trials``.
+                  inv_step, event, reach, power):
+    """Number of the ``trials`` in which ``event`` holds.
 
     ``dims`` is (L, w); a third coordinate in ``node0`` selects the 3-D slab
     (L x L x w) over the 2-D strip (L x w). ``cone_tan`` maps each node's
     offset from node 0 along the walls (x - x0 in 2-D, the horizontal
-    distance in 3-D) to its cone half-angle tangent. Node 0 is isolated
-    when it links to none of the ``n`` interior nodes. The interior pair
-    graph is drawn only when ``need_interior`` asks for the joint and full
-    events.
+    distance in 3-D) to its cone half-angle tangent. A link at unfolded
+    distance r after c reflections fires with the table value at
+    ``b_coeffs[c] * r**power``.
+
+    Events: ``"isolated_only"``, node 0 links to none of the ``n`` interior
+    nodes; ``"joint"``, node 0 is isolated and the interior pair graph is
+    connected; ``"full"``, node 0 and the interior nodes form one component.
+
+    Draws the kernel does not need are skipped; the counts do not change,
+    because every draw is keyed by (trial, stream, index) and a skipped draw
+    leaves the others as they were:
+
+    - ``reach`` bounds how far along the walls from node 0 a node in a cone
+      can sit. Only nodes within it draw their next coordinate across the
+      strip (2-D) or along the floor (3-D, then the height only within the
+      planar distance ``reach``), and only those are classified.
+    - The pair graph is drawn only where the event depends on it: never for
+      ``"isolated_only"``, only in trials with node 0 isolated for
+      ``"joint"`` and in every trial for ``"full"``. It then draws every
+      node's coordinates under their usual keys.
     """
+    if event not in EVENTS:
+        raise ValueError(f"unknown event: {event!r}")
     if n == 0:
-        return trials, trials, trials
+        return trials
     three_d = len(node0) == 3
     L, w = dims
     b_coeffs = np.asarray(b_coeffs, dtype=np.float64)
     c_max = len(b_coeffs) - 1
     b0 = b_coeffs[0]
     pos_keys = np.arange(n, dtype=np.uint64) * np.uint64(4)
-    if need_interior:
+    one, two = np.uint64(1), np.uint64(2)
+    span_y = L if three_d else w
+    if event != "isolated_only":
         iu, ju = np.triu_indices(n, 1)
         pair_keys = np.arange(iu.size, dtype=np.uint64)
 
-    n_iso = 0
-    n_joint = 0
-    n_full = 0
+    count = 0
     for t in range(trials):
         base = trial_bases_np(seed, np.array([t], dtype=np.uint64))
         xs = draws_np(base, STREAM_POSITION, pos_keys) * L
+        dx = xs - node0[0]
+        near = np.flatnonzero(np.abs(dx) <= reach)
+        ys = draws_np(base, STREAM_POSITION, pos_keys[near] + one) * span_y
         if three_d:
-            ys = draws_np(base, STREAM_POSITION, pos_keys + np.uint64(1)) * L
-            zs = draws_np(base, STREAM_POSITION, pos_keys + np.uint64(2)) * w
-            coords = (xs, ys, zs)
-            sx = xs - node0[0]
+            sx = dx[near]
             sy = ys - node0[1]
             rad = np.sqrt(sx * sx + sy * sy)
+            inside = rad <= reach
+            near = near[inside]
+            rad = rad[inside]
+            zs = draws_np(base, STREAM_POSITION, pos_keys[near] + two) * w
             c_sel, adx, vert = _classify_np(rad, zs, -node0[2], w, cone_tan(rad), c_max)
         else:
-            ys = draws_np(base, STREAM_POSITION, pos_keys + np.uint64(1)) * w
-            coords = (xs, ys)
-            dx = xs - node0[0]
-            c_sel, adx, vert = _classify_np(np.abs(dx), ys, -node0[1], w,
-                                            cone_tan(dx), c_max)
+            dxn = dx[near]
+            c_sel, adx, vert = _classify_np(np.abs(dxn), ys, -node0[1], w,
+                                            cone_tan(dxn), c_max)
         # only nodes inside a cone can link to node 0
-        reach = np.flatnonzero(c_sel >= 0)
-        r0 = np.sqrt(adx[reach] ** 2 + vert[reach] ** 2)
-        h0 = table_lookup_np(tab, inv_step, b_coeffs[c_sel[reach]] * r0)
-        u0 = draws_np(base, STREAM_EXTERNAL, reach.astype(np.uint64))
-        link0 = reach[u0 < h0]
+        hit = c_sel >= 0
+        reached = near[hit]
+        r0 = np.sqrt(adx[hit] ** 2 + vert[hit] ** 2)
+        h0 = table_lookup_np(tab, inv_step, _table_arg(b_coeffs[c_sel[hit]], r0, power))
+        u0 = draws_np(base, STREAM_EXTERNAL, reached.astype(np.uint64))
+        link0 = reached[u0 < h0]
         isolated = link0.size == 0
-        n_iso += isolated
-        if not need_interior:
+        if event == "isolated_only":
+            count += isolated
+            continue
+        if event == "joint" and not isolated:
             continue
 
+        coords = [xs, draws_np(base, STREAM_POSITION, pos_keys + one) * span_y]
+        if three_d:
+            coords.append(draws_np(base, STREAM_POSITION, pos_keys + two) * w)
         d = np.sqrt(sum((p[iu] - p[ju]) ** 2 for p in coords))
-        h = table_lookup_np(tab, inv_step, b0 * d)
+        h = table_lookup_np(tab, inv_step, _table_arg(b0, d, power))
         linked = draws_np(base, STREAM_PAIRS, pair_keys) < h
         graph = coo_matrix((np.ones(int(linked.sum()), dtype=bool),
                             (iu[linked], ju[linked])), shape=(n, n))
         ncomp, labels = connected_components(graph, directed=False)
-        n_joint += isolated and ncomp == 1
-        # node 0 joins the whole graph when it links into every component
-        n_full += np.unique(labels[link0]).size == ncomp
-    return n_iso, n_joint, n_full
+        if event == "joint":
+            count += ncomp == 1
+        else:
+            # node 0 joins the whole graph when it links into every component
+            count += np.unique(labels[link0]).size == ncomp
+    return count

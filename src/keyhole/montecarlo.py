@@ -99,10 +99,10 @@ def _link_table(a: float, points: int) -> Tuple[np.ndarray, float]:
     return tab, (points - 1) / b_hi
 
 
-def _escape_counts(cfg: McConfig, need_interior: bool) -> Tuple[int, int, int]:
+def _escape_counts(cfg: McConfig, event: str) -> int:
+    """Trials of ``cfg`` in which ``event`` ("isolated_only", "joint" or
+    "full") holds."""
     model = cfg.channel
-    if model.eta != 2.0:
-        raise NotImplementedError("trial kernels assume eta = 2")
     g = cfg.geometry
     c_max = cfg.c_max if cfg.c_max is not None else model.C
     c_max = min(c_max, model.C)
@@ -112,18 +112,23 @@ def _escape_counts(cfg: McConfig, need_interior: bool) -> Tuple[int, int, int]:
     if cfg.scenario == "escape2d":
         node0 = (g.x0, g.y0)
         cone_tan = g.cone_tan
+        depth = g.abs_y0
+        tan_max = max(math.tan(th) for th in g.side_thetas())
     else:
         if not g.is_on_axis():
             raise NotImplementedError("3-D trials assume a node on the gap axis")
         node0 = (g.x0, g.y0, g.z0)
-        t = math.tan(g.theta())
+        depth = g.abs_z0
+        tan_max = math.tan(g.theta())
 
         def cone_tan(rad):
-            return t
+            return tan_max
+    reach = _kernels.cone_reach(g.w, depth, tan_max, c_max)
     # infinite coefficients (alpha = 0) map far beyond the table, giving H = 0
     b_coeffs = np.where(np.isinf(b_coeffs), 1e9, b_coeffs)
     return _kernels.escape_trials(cfg.seed, cfg.trials, n, (g.L, g.w), node0,
-                                  cone_tan, b_coeffs, tab, inv_step, need_interior)
+                                  cone_tan, b_coeffs, tab, inv_step, event, reach,
+                                  0.5 * model.eta)
 
 
 def run_escape_isolation(cfg: McConfig) -> McEstimate:
@@ -131,18 +136,20 @@ def run_escape_isolation(cfg: McConfig) -> McEstimate:
 
     ``event="joint"`` counts trials where node 0 reaches nobody while the
     interior graph is fully connected; ``event="isolated_only"`` drops the
-    interior condition (the two coincide in dense regimes).
+    interior condition (the two coincide in dense regimes). The kernel skips
+    the draws the event does not need: the interior pair graph for
+    ``"isolated_only"`` and, for ``"joint"``, in every trial where node 0
+    links, and the cross-wall coordinates of nodes beyond the cones' reach.
+    Every draw is keyed by its trial, stream and index, so the counts are
+    those of a run that draws everything.
     """
-    need_interior = cfg.event == "joint"
-    iso, joint, _ = _escape_counts(cfg, need_interior)
-    count = joint if cfg.event == "joint" else iso
+    count = _escape_counts(cfg, cfg.event)
     return McEstimate.from_counts(count, cfg.trials, cfg.seed)
 
 
 def run_full_connectivity(cfg: McConfig) -> McEstimate:
     """Estimate the probability that all nodes form a single component."""
-    _, _, full = _escape_counts(cfg, True)
-    return McEstimate.from_counts(full, cfg.trials, cfg.seed)
+    return McEstimate.from_counts(_escape_counts(cfg, "full"), cfg.trials, cfg.seed)
 
 
 @dataclass(frozen=True)
@@ -208,10 +215,6 @@ class RayPath:
     reflections: int
     length: float
     stopped: str        # "budget" | "escaped" | "blocked" | "free"
-
-    @property
-    def truncated(self) -> bool:
-        return self.stopped in ("budget", "blocked", "free")
 
     def point_at(self, distance: float) -> Tuple[float, ...]:
         """Point at the given arc length along the polyline."""
