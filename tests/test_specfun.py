@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from keyhole import specfun
 from keyhole.specfun import (ApproxFit, FitError, IntegrationError,
                              fit_exponential_approx, integrate_adaptive,
                              lower_inc_gamma, marcum_q1)
@@ -193,3 +194,42 @@ def test_fit_mode_validation():
         fit_exponential_approx(1.0, "quadratic")
     with pytest.raises(ValueError):
         fit_exponential_approx(-1.0, "free")
+
+
+def fit_gradient_ratio(K, fit, fixed):
+    """|J^T r| / (|J| |r|) of the fit's SSE at (nu, mu), on a grid rebuilt
+    from its definition; b = 0 has a zero residual and Jacobian row."""
+    a = math.sqrt(2.0 * K)
+    b_star = specfun._falloff_point(a, specfun.FIT_FLOOR)
+    b = np.linspace(0.0, b_star, specfun.FIT_GRID_POINTS)[1:]
+    e = math.exp(fit.nu) * b ** fit.mu
+    m = np.exp(-e)
+    resid = m - marcum_q1(a, b)
+    jac = (-m * e)[:, None] if fixed else np.column_stack((-m * e, -m * e * np.log(b)))
+    return np.linalg.norm(jac.T @ resid) / (np.linalg.norm(jac) * np.linalg.norm(resid))
+
+
+@pytest.mark.parametrize("mode", ["free", "fixed_two"])
+@pytest.mark.parametrize("K", [1.0, 4.0, 8.0, 20.0])
+def test_fit_is_stationary(K, mode):
+    # a fit that stops on the SSE, or on a tolerance in (nu, mu) of about
+    # sqrt(eps), leaves a relative gradient of 7e-10 to 4e-8 here
+    fit = fit_exponential_approx(K, mode)
+    assert fit_gradient_ratio(K, fit, mode == "fixed_two") <= 1e-12
+
+
+@pytest.mark.parametrize("mode", ["free", "fixed_two"])
+def test_fit_k0_is_exact(mode):
+    # Q1(0, b) = exp(-b^2 / 2) is the surrogate at nu = ln 1/2, mu = 2
+    fit = fit_exponential_approx(0.0, mode)
+    assert fit.nu == pytest.approx(math.log(0.5), abs=1e-15)
+    assert fit.mu == pytest.approx(2.0, abs=1e-15)
+
+
+def test_fit_rejects_non_positive_exponent(monkeypatch):
+    # a rising target pulls the exponent below zero
+    grid = np.linspace(0.0, 4.0, specfun.FIT_GRID_POINTS)
+    monkeypatch.setattr(specfun, "_fit_grid",
+                        lambda K: (0.0, grid, 1.0 - np.exp(-0.5 * grid * grid)))
+    with pytest.raises(FitError, match="non-positive exponent"):
+        fit_exponential_approx(123.0, "free")
