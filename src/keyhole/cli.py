@@ -260,16 +260,15 @@ def _cmd_presets(args) -> int:
 def _cmd_trace(args) -> int:
     try:
         cfg = load_config(args.geometry)
+        if cfg.get("scenario") == "transport":
+            raise ConfigError("trace needs an escape geometry; transport has no tracer")
         geometry = _build_geometry(cfg)
-    except ConfigError as exc:
+        sin, cos = math.sin(args.angle), math.cos(args.angle)
+        direction = (sin, cos) if isinstance(geometry, Geometry2D) else (sin, 0.0, cos)
+        path = trace_ray(geometry, args.origin, direction, args.max_reflections)
+    except ValueError as exc:  # a ConfigError, or an origin of the wrong length
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    phi = args.angle
-    if isinstance(geometry, Geometry2D):
-        direction = (math.sin(phi), math.cos(phi))
-    else:
-        direction = (math.sin(phi), 0.0, math.cos(phi))
-    path = trace_ray(geometry, args.origin, direction, args.max_reflections)
     print(json.dumps({"points": [list(p) for p in path.points],
                       "reflections": path.reflections,
                       "length": path.length,

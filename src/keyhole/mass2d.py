@@ -6,8 +6,13 @@ window between two bounding lines). Two routes take lists of regions, in
 2-D, in 3-D and for transport: :func:`region_mass`, the quadrature
 (authoritative; exact in r, Gauss-Legendre in angle), and
 :func:`region_expansion`, its small-angle closed form. The isolation
-probability of the external node is exp(-rho * mass); the interior-isolation
-terms complete :func:`full_connectivity_first_order`.
+probability of the external node is exp(-rho * mass).
+
+:func:`full_connectivity_first_order` corrects it with two interior-isolation
+terms, each with one route on the Gaussian surrogate: the first term, whose
+exact erf-product inner integral is integrated on a graded tensor rule over
+the box, and the bridge term, integrated over each polar reflection region
+up to c = 2 on a rule graded in angle and in r.
 """
 
 from __future__ import annotations
@@ -254,6 +259,8 @@ def multi_external_bridge_prob(p_single: float, M: int) -> float:
 
 def _fixed_two_lambda(model: ChannelModel) -> float:
     """Decay coefficient of the Gaussian link surrogate (exponent pinned to 2)."""
+    if model.eta != 2.0:
+        raise ValueError("interior isolation terms are derived for eta = 2")
     fit2 = fit_exponential_approx(model.K, "fixed_two")
     return math.exp(fit2.nu2) * 2.0 * (model.K + 1.0) * model.beta
 
@@ -288,6 +295,10 @@ _t, _w = _graded_unit_rule(levels=4)
 _BRIDGE_ANGLE_NODES, _BRIDGE_ANGLE_WEIGHTS = 2.0 * _t - 1.0, 2.0 * _w
 _BRIDGE_R_POWERS = np.stack((np.ones_like(_GRADED_NODES), _GRADED_NODES, _GRADED_NODES ** 2))
 _BRIDGE_R_MOMENTS = np.stack((_GRADED_WEIGHTS, _GRADED_WEIGHTS * _GRADED_NODES), axis=1)
+# highest reflection count in the bridge term: each reflection moves a region
+# one strip width farther from node 0 and divides the surrogate's decay by
+# alpha, so the regions beyond c = 2 add a negligible share
+_BRIDGE_C_MAX = 2
 
 
 def _graded_rule(lo: float, hi: float):
@@ -296,14 +307,12 @@ def _graded_rule(lo: float, hi: float):
 
 
 def _interior_setup(g: Geometry2D, model: ChannelModel, rho: float):
-    """Constants shared by the two interior-isolation terms.
+    """Constants of the bridge term's exponent.
 
     Returns (lam_hat, sigma_x, sigma_y, log_pref): the Gaussian-surrogate
     decay, the curvatures of the exponent rho * pi/(4 lam_hat) Ex(x) Ey(y)
     about the domain centre along x and y, and minus its value there.
     """
-    if model.eta != 2.0:
-        raise ValueError("interior isolation terms are derived for eta = 2")
     lam_hat = _fixed_two_lambda(model)
     L, w = g.L, g.w
     rt = math.sqrt(lam_hat)
@@ -319,101 +328,46 @@ def _interior_setup(g: Geometry2D, model: ChannelModel, rho: float):
 
 
 def internal_isolation_first_term(g: Geometry2D, model: ChannelModel,
-                                  inputs: ClusterInputs,
-                                  method: str = "expansion") -> float:
+                                  inputs: ClusterInputs) -> float:
     """First interior-isolation term rho * int exp(-rho * int H1N) d r_N.
 
     Interior links ignore reflections and use the Gaussian surrogate with
-    exponent pinned to 2. Two routes:
-
-    - ``erf_quadrature``: the inner integral uses its exact erf product and
-      the outer one a graded Gauss-Legendre tensor rule.
-    - ``expansion``: closed form built from a quadratic expansion of the erf
-      product about the domain centre followed by a polar-coordinate
-      expansion. Only trustworthy while sigma_x L^2 / 4 and
-      sigma_y w^2 / 4 stay small.
+    exponent pinned to 2, so the inner integral is the exact erf product
+    pi/(4 lam_hat) Ex(x) Ey(y). The outer one is a graded Gauss-Legendre
+    tensor rule over the box, which resolves the wall and corner layers
+    that dominate at high density.
     """
     rho = inputs.rho
-    lam_hat, sigma_x, sigma_y, log_pref = _interior_setup(g, model, rho)
-    L, w = g.L, g.w
+    lam_hat = _fixed_two_lambda(model)
     if rho == 0.0:
         return 0.0
-
-    if method == "erf_quadrature":
-        # the inner integral is pi/(4 lam_hat) Ex(x) Ey(y), so the outer one
-        # is a matrix product on the graded tensor rule (built in place: the
-        # grid is 400 x 400)
-        x, wx = _graded_rule(0.0, L)
-        y, wy = _graded_rule(0.0, w)
-        grid = np.outer(_erf_box_factor(x, L, lam_hat), _erf_box_factor(y, w, lam_hat))
-        grid *= -rho * math.pi / (4.0 * lam_hat)
-        return rho * float(wx @ np.exp(grid, out=grid) @ wy)
-
-    if method != "expansion":
-        raise ValueError(f"unknown method: {method!r}")
-    if sigma_x <= 0.0 or sigma_y <= 0.0:
-        return 0.0
-
-    vartheta = math.atan(w * math.sqrt(sigma_y) / (L * math.sqrt(sigma_x)))
-    a_x = sigma_x * L * L / 4.0
-    b_y = sigma_y * w * w / 4.0
-    csc2 = 1.0 / math.sin(vartheta) ** 2
-    cot_v = 1.0 / math.tan(vartheta)
-    e_big = math.exp(b_y * csc2)
-    a2 = 2.0 * b_y * e_big * cot_v * csc2
-    b2 = b_y * e_big * csc2 * (1.0 + 3.0 * cot_v ** 2 + 2.0 * b_y * cot_v ** 2 * csc2)
-
-    bracket = (vartheta * (math.exp(a_x) - 1.0)
-               + (sigma_x * L * L / 12.0) * math.exp(a_x) * vartheta ** 3
-               + (0.5 * math.pi - vartheta) * (e_big + a2 * vartheta - 1.0)
-               - 0.5 * a2 * (math.pi ** 2 / 4.0 - vartheta ** 2)
-               + (b2 / 3.0) * (0.5 * math.pi - vartheta) ** 3)
-    prefactor = 2.0 / math.sqrt(sigma_x * sigma_y) * math.exp(log_pref)
-    return rho * prefactor * bracket
-
-
-def _gaussian_factor(lam: float, sigma: float, centre: float, lo: float, hi: float):
-    """Integral of exp(sigma (t - centre)^2 - lam t^2) over [lo, hi] as a
-    pair (q, s) with the integral exp(q) s, for any sign of sigma - lam."""
-    k = sigma - lam
-    if k == 0.0:
-        # the exponent is linear: sigma centre^2 + b t
-        b = -2.0 * sigma * centre
-        seg = hi - lo if b == 0.0 else (math.exp(b * hi) - math.exp(b * lo)) / b
-        return sigma * centre * centre, seg
-    m = sigma * centre / k
-    r = math.sqrt(abs(k))
-    erf = math.erf if k < 0.0 else special.erfi
-    return (-sigma * lam * centre * centre / k,
-            0.5 * math.sqrt(math.pi) / r * float(erf(r * (hi - m)) - erf(r * (lo - m))))
+    # the outer integral is a matrix product on the graded tensor rule
+    # (built in place: the grid is 400 x 400)
+    x, wx = _graded_rule(0.0, g.L)
+    y, wy = _graded_rule(0.0, g.w)
+    grid = np.outer(_erf_box_factor(x, g.L, lam_hat), _erf_box_factor(y, g.w, lam_hat))
+    grid *= -rho * math.pi / (4.0 * lam_hat)
+    return rho * float(wx @ np.exp(grid, out=grid) @ wy)
 
 
 def internal_isolation_bridge_term(g: Geometry2D, model: ChannelModel,
-                                   inputs: ClusterInputs, c_limit: int = 2,
-                                   method: str = "quadrature") -> float:
+                                   inputs: ClusterInputs) -> float:
     """Interior-isolation correction that couples node 0 to the lone node.
 
     Evaluates rho * int H0N (1 - (1/V) int H1N)^(N-1) d r_N with Gaussian
     surrogates for both link factors, summed over reflection regions up to
-    ``c_limit`` (default 2; higher orders are negligible) on each side of
-    node 0 in ``g.side_thetas()``, the polar regions of
-    :func:`geometry2d.region_bounds`.
-
-    ``method="quadrature"`` integrates over each region in polar form, with
-    the Jacobian r, on a tensor rule graded toward both ends in angle and in
-    r: where a wall meets the slanted side of a reflected region, its
-    boundary layer is a layer in angle too. ``method="rect_closed_form"``
-    replaces each region with its bounding box, whose x and y integrals
-    separate into erf/erfi factors.
+    c = 2 on each side of node 0 in ``g.side_thetas()``, the polar regions
+    of :func:`geometry2d.region_bounds`. Each region is integrated in polar
+    form, with the Jacobian r, on a tensor rule graded toward both ends in
+    angle and in r: where a wall meets the slanted side of a reflected
+    region, its boundary layer is a layer in angle too.
     """
-    if method not in ("quadrature", "rect_closed_form"):
-        raise ValueError(f"unknown method: {method!r}")
     rho = inputs.rho
     lam_hat, sigma_x, sigma_y, log_pref = _interior_setup(g, model, rho)
     # (side sign, region) for each side with an escape cone: the left side
     # runs toward -x, the right toward +x; reflected links vanish at alpha = 0
     parts = [(sign, region_bounds(g, c, th))
-             for c in range(min(c_limit, model.C) + 1 if model.alpha > 0.0 else 1)
+             for c in range(min(_BRIDGE_C_MAX, model.C) + 1 if model.alpha > 0.0 else 1)
              for sign, th in zip((-1.0, 1.0), g.side_thetas()) if th > 0.0]
     if rho == 0.0 or not parts:
         return 0.0
@@ -426,33 +380,20 @@ def internal_isolation_bridge_term(g: Geometry2D, model: ChannelModel,
     # height (c + 1/2) w, at cy up
     cx = np.array(signs) * (0.5 * g.L - g.x0)
     cy = g.abs_y0 + (c + 0.5) * g.w
-
-    if method == "quadrature":
-        phi, half, r_lo, r_hi = _angle_nodes(regions, _BRIDGE_ANGLE_NODES)
-        cos, sin, lam = np.cos(phi), np.sin(phi), lam_bar[:, None]
-        # along each ray r = r_lo + width t the exponent is e0 + e1 t + e2 t^2,
-        # with log_pref inside so it stays representable at high density
-        width = r_hi - r_lo
-        du, dv = r_lo * sin - cx[:, None], r_lo * cos - cy[:, None]
-        e0 = log_pref - lam * r_lo * r_lo + sigma_x * du * du + sigma_y * dv * dv
-        e1 = 2.0 * width * (sigma_x * du * sin + sigma_y * dv * cos - lam * r_lo)
-        e2 = width * width * (sigma_x * sin * sin + sigma_y * cos * cos - lam)
-        expo = np.stack((e0, e1, e2), axis=-1) @ _BRIDGE_R_POWERS
-        # the Jacobian r = r_lo + width t splits into the two moments
-        moments = np.exp(expo, out=expo) @ _BRIDGE_R_MOMENTS
-        inner = width * (r_lo * moments[..., 0] + width * moments[..., 1])
-        return rho * float(half @ (inner @ _BRIDGE_ANGLE_WEIGHTS))
-
-    total = 0.0
-    for region, lam, mid_u, mid_v in zip(regions, lam_bar, cx, cy):
-        # the bounding box: across, from r_max(phi) sin(phi) at phi_min to
-        # that at phi_max; up, the c-th image of the strip
-        near, far = (float(region.r_max(phi)) * math.sin(phi)
-                     for phi in (region.phi_min, region.phi_max))
-        q_u, seg_u = _gaussian_factor(lam, sigma_x, mid_u, near, far)
-        q_v, seg_v = _gaussian_factor(lam, sigma_y, mid_v, mid_v - 0.5 * g.w, mid_v + 0.5 * g.w)
-        total += math.exp(log_pref + q_u + q_v) * seg_u * seg_v
-    return rho * total
+    phi, half, r_lo, r_hi = _angle_nodes(regions, _BRIDGE_ANGLE_NODES)
+    cos, sin, lam = np.cos(phi), np.sin(phi), lam_bar[:, None]
+    # along each ray r = r_lo + width t the exponent is e0 + e1 t + e2 t^2,
+    # with log_pref inside so it stays representable at high density
+    width = r_hi - r_lo
+    du, dv = r_lo * sin - cx[:, None], r_lo * cos - cy[:, None]
+    e0 = log_pref - lam * r_lo * r_lo + sigma_x * du * du + sigma_y * dv * dv
+    e1 = 2.0 * width * (sigma_x * du * sin + sigma_y * dv * cos - lam * r_lo)
+    e2 = width * width * (sigma_x * sin * sin + sigma_y * cos * cos - lam)
+    expo = np.stack((e0, e1, e2), axis=-1) @ _BRIDGE_R_POWERS
+    # the Jacobian r = r_lo + width t splits into the two moments
+    moments = np.exp(expo, out=expo) @ _BRIDGE_R_MOMENTS
+    inner = width * (r_lo * moments[..., 0] + width * moments[..., 1])
+    return rho * float(half @ (inner @ _BRIDGE_ANGLE_WEIGHTS))
 
 
 @dataclass(frozen=True)
@@ -469,16 +410,17 @@ def full_connectivity_first_order(g: Geometry2D, model: ChannelModel,
                                   mass: Optional[MassBreakdown] = None) -> FullConnectivity:
     """First-order estimate of the probability that all nodes connect.
 
-    One minus the external-node isolation probability minus the interior
-    lone-node terms; clamped to [0, 1] with a flag because the first-order
-    expansion can leave the unit interval at low density. A term that is
-    not finite raises ``ValueError`` instead: clamping it would report a
-    probability the terms do not support.
+    One minus the external-node isolation probability, minus the interior
+    lone-node term (:func:`internal_isolation_first_term`), plus the bridge
+    term (:func:`internal_isolation_bridge_term`); clamped to [0, 1] with a
+    flag because the first-order expansion can leave the unit interval at
+    low density. A term that is not finite raises ``ValueError`` instead:
+    clamping it would report a probability the terms do not support.
     """
     if mass is None:
         mass = mass_numeric(g, model)
     ext = exterior_isolation_prob(mass.total, inputs)
-    first = internal_isolation_first_term(g, model, inputs, method="erf_quadrature")
+    first = internal_isolation_first_term(g, model, inputs)
     bridge = internal_isolation_bridge_term(g, model, inputs)
     for name, term in (("exterior isolation", ext), ("first interior term", first),
                        ("bridge term", bridge)):

@@ -51,7 +51,7 @@ class McConfig:
     seed: int
     rho: Optional[float] = None
     n: Optional[int] = None
-    event: str = "joint"               # "joint" | "isolated_only"
+    event: str = "joint"               # one of _kernels.EVENTS
     c_max: Optional[int] = None
     region0: Optional[Tuple[float, float, float, float]] = None
     region1: Optional[Tuple[float, float, float, float]] = None
@@ -61,7 +61,7 @@ class McConfig:
             raise ValueError("trials must be at least 1")
         if self.scenario not in ("escape2d", "escape3d", "transport"):
             raise ValueError(f"unknown scenario: {self.scenario!r}")
-        if self.event not in ("joint", "isolated_only"):
+        if self.event not in _kernels.EVENTS:
             raise ValueError(f"unknown event: {self.event!r}")
         if self.scenario != "transport":
             if (self.rho is None) == (self.n is None):
@@ -81,22 +81,21 @@ class McConfig:
         raise ValueError("transport runs have no single domain measure")
 
 
-def link_probability_table(model: ChannelModel,
-                           points: int = LINK_TABLE_POINTS) -> Tuple[np.ndarray, float]:
+def link_probability_table(model: ChannelModel) -> Tuple[np.ndarray, float]:
     """Dense tabulation of Q1(a, b) against b for kernel-side interpolation.
 
     The table depends on the model only through ``a_parameter`` (set by K),
     so models that differ in alpha or beta share one cached, read-only table.
     """
-    return _link_table(model.a_parameter, points)
+    return _link_table(model.a_parameter)
 
 
 @functools.lru_cache(maxsize=8)
-def _link_table(a: float, points: int) -> Tuple[np.ndarray, float]:
+def _link_table(a: float) -> Tuple[np.ndarray, float]:
     b_hi = a + 14.0
-    tab = np.asarray(marcum_q1(a, np.linspace(0.0, b_hi, points)))
+    tab = np.asarray(marcum_q1(a, np.linspace(0.0, b_hi, LINK_TABLE_POINTS)))
     tab.flags.writeable = False
-    return tab, (points - 1) / b_hi
+    return tab, (LINK_TABLE_POINTS - 1) / b_hi
 
 
 def _escape_counts(cfg: McConfig, event: str) -> int:
@@ -136,10 +135,12 @@ def run_escape_isolation(cfg: McConfig) -> McEstimate:
 
     ``event="joint"`` counts trials where node 0 reaches nobody while the
     interior graph is fully connected; ``event="isolated_only"`` drops the
-    interior condition (the two coincide in dense regimes). The kernel skips
-    the draws the event does not need: the interior pair graph for
-    ``"isolated_only"`` and, for ``"joint"``, in every trial where node 0
-    links, and the cross-wall coordinates of nodes beyond the cones' reach.
+    interior condition (the two coincide in dense regimes); ``event="full"``
+    counts trials where all nodes form one component, as
+    :func:`run_full_connectivity` does. The kernel skips the draws the event
+    does not need: the interior pair graph for ``"isolated_only"`` and, for
+    ``"joint"``, in every trial where node 0 links, and the cross-wall
+    coordinates of nodes beyond the cones' reach.
     Every draw is keyed by its trial, stream and index, so the counts are
     those of a run that draws everything.
     """
@@ -260,6 +261,8 @@ def trace_ray(geometry, origin: Sequence[float], direction: Sequence[float],
             return math.hypot(p[0] - gx, p[1] - gy) <= geometry.gap_radius
     else:
         raise TypeError("trace_ray needs a Geometry2D or Geometry3D")
+    if origin.shape != (axis + 1,) or d.shape != (axis + 1,):
+        raise ValueError(f"origin and direction need {axis + 1} coordinates each")
 
     w = geometry.w
     pos = origin.copy()

@@ -35,13 +35,18 @@ class FitError(RuntimeError):
     """Surrogate fit did not converge."""
 
 
-def marcum_q1(a: float, b, tol: float = 1e-12):
+# absolute accuracy of marcum_q1: the series stops once the Poisson mass it
+# has not yet accumulated is below this
+MARCUM_TOL = 1e-12
+
+
+def marcum_q1(a: float, b):
     """First-order Marcum Q function Q1(a, b).
 
     Evaluated as a Poisson mixture of Erlang tail probabilities; every term
     is positive and the truncation error is bounded by the unaccumulated
-    Poisson mass, so the result is accurate to ``tol`` in absolute terms.
-    Intended for moderate arguments (roughly a, b < 35). Raises
+    Poisson mass, so the result is accurate to ``MARCUM_TOL`` (1e-12) in
+    absolute terms. Intended for moderate arguments (roughly a, b < 35). Raises
     ``ValueError`` for a > 37.64 (K = a^2/2 > 708), where the first mixture
     weight exp(-a^2/2) underflows below the normal float range and the sum
     loses its accuracy (at a = 38.6 it is 0.029 off). ``b`` may be a scalar
@@ -67,7 +72,7 @@ def marcum_q1(a: float, b, tol: float = 1e-12):
     acc = weight * tail
     cum_weight = weight
     n = 0
-    while 1.0 - cum_weight > tol:
+    while 1.0 - cum_weight > MARCUM_TOL:
         n += 1
         if n > 200_000:
             raise ValueError("marcum_q1 series did not converge (a too large)")

@@ -56,14 +56,11 @@ def test_left_only_is_half_of_both(model):
     g1 = make_geometry(sides="left_only")
     assert mass_numeric(g1, model).total == pytest.approx(
         0.5 * mass_numeric(g2, model).total, rel=1e-9)
-    # the bridge term halves too, by either method, on the small box where
-    # it is not negligible
+    # the bridge term halves too, on the small box where it is not negligible
     both, left = (make_geometry(**SMALL_BOX, sides=sides) for sides in ("both", "left_only"))
     inputs = ClusterInputs(rho=0.05, V=both.w * both.L)
-    for method in ("quadrature", "rect_closed_form"):
-        assert internal_isolation_bridge_term(left, model, inputs, method=method) \
-            == pytest.approx(0.5 * internal_isolation_bridge_term(both, model, inputs, method=method),
-                             rel=1e-14, abs=0.0)
+    assert internal_isolation_bridge_term(left, model, inputs) == pytest.approx(
+        0.5 * internal_isolation_bridge_term(both, model, inputs), rel=1e-14, abs=0.0)
 
 
 def test_closed_form_direct_term_structure(model):
@@ -196,9 +193,9 @@ def test_internal_first_term_trivial_limits(model):
     assert internal_isolation_first_term(
         g, model, ClusterInputs(rho=0.0, V=2000.0)) == 0.0
     big = internal_isolation_first_term(
-        g, model, ClusterInputs(rho=0.2, V=2000.0), "erf_quadrature")
+        g, model, ClusterInputs(rho=0.2, V=2000.0))
     huge = internal_isolation_first_term(
-        g, model, ClusterInputs(rho=2.0, V=2000.0), "erf_quadrature")
+        g, model, ClusterInputs(rho=2.0, V=2000.0))
     assert huge < big
 
 
@@ -217,9 +214,8 @@ def test_internal_first_term_oracles_agree_small_domain(model):
     want = rho * integrate.dblquad(
         lambda y, x: math.exp(-rho * profile(x, g.L) * profile(y, g.w)),
         0.0, g.L, 0.0, g.w, epsabs=0.0, epsrel=1e-13)[0]
-    erf = internal_isolation_first_term(g, model, ClusterInputs(rho=rho, V=g.w * g.L),
-                                        "erf_quadrature")
-    assert erf == pytest.approx(want, rel=1e-10, abs=0.0)
+    got = internal_isolation_first_term(g, model, ClusterInputs(rho=rho, V=g.w * g.L))
+    assert got == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
 def test_internal_bridge_trivial_limits(model):
@@ -231,23 +227,11 @@ def test_internal_bridge_trivial_limits(model):
         g, strong, ClusterInputs(rho=0.1, V=2000.0)) == pytest.approx(0.0, abs=1e-30)
 
 
-def test_internal_bridge_rect_matches_quadrature_scale(model):
-    # the bounding-box closed form and the polyline quadrature agree in order
-    # of magnitude; boxes overcount, so the closed form sits above
-    g = make_geometry(w=8.0, L=14.0, gap_center_x=7.0, x0=7.0)
-    inputs = ClusterInputs(rho=0.05, V=g.w * g.L)
-    quad = internal_isolation_bridge_term(g, model, inputs)
-    rect = internal_isolation_bridge_term(g, model, inputs, method="rect_closed_form")
-    assert quad > 0.0
-    assert rect >= quad
-    assert rect / quad < 50.0
-
-
 def test_internal_terms_negligible_at_reference(model):
     g = make_geometry()
     inputs = ClusterInputs(rho=0.1, V=2000.0)
     ext = exterior_isolation_prob(mass_numeric(g, model).total, inputs)
-    first = internal_isolation_first_term(g, model, inputs, "erf_quadrature")
+    first = internal_isolation_first_term(g, model, inputs)
     bridge = internal_isolation_bridge_term(g, model, inputs)
     assert first <= ext / 10.0
     assert bridge <= ext / 10.0
@@ -389,13 +373,14 @@ SMALL_BOX = dict(w=8.0, L=14.0, gap_center_x=7.0, x0=7.0)
     # a node-0 peak a few thousandths wide at the wall: needs the graded rule;
     # nested scipy.integrate.quad in polar form at epsrel 1e-13
     ("bridge", FIG4, 0.1, 50.0, 6.104875159146211e-81),
-])
+], ids=["first-fig4-rho0.02", "first-smallbox-rho0.05", "first-fig4-rho0.3",
+        "bridge-fig4-rho0.01", "bridge-smallbox-rho0.05", "bridge-fig4-beta50"])
 def test_internal_terms_pinned(term, box, rho, beta, want):
     g = make_geometry(**box)
     m = make_channel_model(K=4.0, beta=beta, alpha=0.75, C=6)
     inputs = ClusterInputs(rho=rho, V=g.w * g.L)
     if term == "first":
-        got = internal_isolation_first_term(g, m, inputs, "erf_quadrature")
+        got = internal_isolation_first_term(g, m, inputs)
     else:
         got = internal_isolation_bridge_term(g, m, inputs)
     assert got == pytest.approx(want, rel=1e-8, abs=0.0)
@@ -472,35 +457,6 @@ def test_internal_bridge_matches_nested_quadrature(box, beta, rho):
     m = make_channel_model(K=4.0, beta=beta, alpha=0.75, C=6)
     got = internal_isolation_bridge_term(g, m, ClusterInputs(rho=rho, V=g.w * g.L))
     assert got == pytest.approx(bridge_nested_quadrature(g, m, rho), rel=1e-10, abs=0.0)
-
-
-@pytest.mark.parametrize("box, beta, rho", [
-    # sigma - lambda changes sign between c=0 and c=1, so both the erf and
-    # the erfi factor are used
-    (dict(SMALL_BOX, gap_center_x=5.0, x0=5.1), 1e-3, 0.01),
-    (dict(w=20.0, L=100.0, eps=1.0, gap_center_x=40.0, x0=39.7), 1e-4, 0.3),
-])
-def test_internal_bridge_rect_is_box_integral(box, beta, rho):
-    # rect_closed_form integrates the bridge integrand over each region's
-    # bounding box: y over the strip, x between the images of the cone edge
-    # after c - 1 (x0 itself for c=0) and c reflections at their widest
-    g = make_geometry(**box)
-    m = make_channel_model(K=4.0, beta=beta, alpha=0.75, C=6)
-    lam_hat, sigma_x, sigma_y, log_pref = mass2d._interior_setup(g, m, rho)
-    want = 0.0
-    for c in range(3):
-        lam_bar = lam_hat * m.alpha ** -c
-        for sign, th in zip((-1.0, 1.0), g.side_thetas()):
-            near = 0.0 if c == 0 else ((c - 1) * g.w + g.abs_y0) * math.tan(th)
-            far = ((c + 1) * g.w + g.abs_y0) * math.tan(th)
-            want += integrate.dblquad(
-                lambda dx, y: math.exp(log_pref - lam_bar * (dx * dx + (y_image(c, y, g.w) + g.abs_y0) ** 2)
-                                       + sigma_y * (y - 0.5 * g.w) ** 2
-                                       + sigma_x * (g.x0 + sign * dx - 0.5 * g.L) ** 2),
-                0.0, g.w, near, far, epsabs=0.0, epsrel=1e-12)[0]
-    got = internal_isolation_bridge_term(g, m, ClusterInputs(rho=rho, V=g.w * g.L),
-                                         method="rect_closed_form")
-    assert got == pytest.approx(rho * want, rel=1e-9, abs=0.0)
 
 
 def test_mass_paths_do_not_use_adaptive_rule(monkeypatch, model):

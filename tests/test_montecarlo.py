@@ -124,12 +124,17 @@ def test_pair_graph_built_only_where_the_event_needs_it(monkeypatch):
 def test_unknown_event_rejected():
     with pytest.raises(ValueError, match="unknown event"):
         montecarlo._escape_counts(split_interior_config(trials=1), "partial")
+    with pytest.raises(ValueError, match="unknown event"):
+        dataclasses.replace(split_interior_config(trials=1), event="partial")
 
 
 def test_run_functions_report_kernel_counts():
     cfg = split_interior_config()
     assert run_escape_isolation(cfg).event_count == 5
     assert run_full_connectivity(cfg).event_count == 174
+    # McConfig takes every kernel event: "full" counts what
+    # run_full_connectivity counts
+    assert run_escape_isolation(dataclasses.replace(cfg, event="full")).event_count == 174
     cfg.event = "isolated_only"
     est = run_escape_isolation(cfg)
     assert est.event_count == 6
