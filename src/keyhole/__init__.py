@@ -21,11 +21,8 @@ from .mass2d import (ClusterInputs, FullConnectivity, MassBreakdown,
 from .escape3d import (Geometry3D, mass3d_closed_form, mass3d_numeric,
                        region_bounds_3d, volume_ratio_first_reflection)
 from .transport import (TransportGeometry, averaged_connect_prob,
-                        case1_bounds, case1_min_reflections, case2_bounds,
-                        transport_mass_case1, transport_mass_case2,
-                        transport_min_path)
+                        receiving_region, transport_mass)
 from .montecarlo import (McConfig, McEstimate, RayPath, TransportEstimate,
-                         run_escape_isolation, run_full_connectivity,
-                         run_transport, trace_ray)
+                         run_escape_isolation, run_transport, trace_ray)
 
 __version__ = "0.1.0"

@@ -24,12 +24,18 @@ from .geometry2d import Geometry2D
 from .mass2d import mass_closed_form, mass_numeric
 from .montecarlo import McConfig, run_escape_isolation, run_transport, trace_ray
 from .specfun import fit_exponential_approx
-from .transport import TransportGeometry, transport_mass_case1, transport_mass_case2
+from .transport import TransportGeometry, transport_mass
 
 CSV_SCHEMA = "# keyhole-results v1"
 CSV_COLUMNS = ("sweep_param", "value", "mass_closed", "mass_quadrature",
                "isolation_analytic", "mc_p_hat", "mc_std_err", "trials",
                "seed", "status")
+# the values a sweep can set, per scenario: a key the geometry never reads is an error
+SWEEP_PARAMETERS = {
+    "escape2d": ("alpha", "eps", "w", "y0"),
+    "escape3d": ("alpha", "gap_radius", "w", "y0", "z0"),
+    "transport": ("alpha", "eps", "w", "y0"),
+}
 
 
 class ConfigError(ValueError):
@@ -74,9 +80,12 @@ def _validate_sweep(cfg: dict) -> tuple:
     sweep = _require(cfg, "sweep")
     param = _require(sweep, "parameter")
     values = _require(sweep, "values")
-    allowed = {"alpha", "eps", "y0", "z0", "w", "gap_radius"}
-    if param not in allowed:
-        raise ConfigError(f"sweep.parameter must be one of {sorted(allowed)}")
+    scenario = cfg["scenario"]
+    if scenario not in SWEEP_PARAMETERS:
+        raise ConfigError(f"unknown scenario: {scenario!r}")
+    if param not in SWEEP_PARAMETERS[scenario]:
+        raise ConfigError(f"sweep.parameter of a {scenario} config must be one of "
+                          f"{list(SWEEP_PARAMETERS[scenario])}")
     if not values:
         raise ConfigError("sweep.values must be non-empty")
     diffs = [b - a for a, b in zip(values, values[1:])]
@@ -88,24 +97,25 @@ def _validate_sweep(cfg: dict) -> tuple:
 def _apply_sweep(cfg: dict, param: str, value: float) -> dict:
     out = json.loads(json.dumps(cfg))
     geo = out["geometry"]
+    transport = out["scenario"] == "transport"
     if param == "alpha":
         out["channel"]["alpha"] = value
-    elif param in ("eps", "gap_radius", "w", "y0", "z0"):
-        if param == "eps" and out["scenario"] == "transport":
-            # both gaps resized in place, nodes kept centred
-            geo["x_l2"] = geo["x_l1"] + value
-            geo["x_u2"] = geo["x_u1"] + value
-            geo["node0"][0] = geo["x_l1"] + value / 2.0
-            geo["node1"][0] = geo["x_u1"] + value / 2.0
-        elif param == "y0" and out["scenario"] == "transport":
-            geo["node0"][1] = value
-        elif param == "w" and out["scenario"] == "transport":
-            # a node beyond the upper wall keeps its height above that wall
-            if geo["case"] == "opposite":
-                geo["node1"][1] = value + (geo["node1"][1] - geo["w"])
-            geo["w"] = value
-        else:
-            geo[param] = value
+    elif param == "eps" and transport:
+        # both gaps resized in place from their left edges, nodes kept centred
+        lo, hi = ("x_u1", "x_u2") if geo["case"] == "opposite" else ("x_l3", "x_l4")
+        geo["x_l2"] = geo["x_l1"] + value
+        geo[hi] = geo[lo] + value
+        geo["node0"][0] = geo["x_l1"] + value / 2.0
+        geo["node1"][0] = geo[lo] + value / 2.0
+    elif param == "y0" and transport:
+        geo["node0"][1] = value
+    elif param == "w" and transport:
+        # a node beyond the upper wall keeps its height above that wall
+        if geo["case"] == "opposite":
+            geo["node1"][1] = value + (geo["node1"][1] - geo["w"])
+        geo["w"] = value
+    else:
+        geo[param] = value
     return out
 
 
@@ -152,11 +162,8 @@ def _sweep_row(cfg: dict, param: str, value: float) -> dict:
         row["mass_quadrature"] = mass3d_numeric(geometry, model).total
         row["isolation_analytic"] = math.exp(-point["rho"] * row["mass_quadrature"])
     else:
-        if geometry.case == "opposite":
-            row["mass_closed"] = transport_mass_case1(geometry, model, "expansion").total
-            row["mass_quadrature"] = transport_mass_case1(geometry, model).total
-        else:
-            row["mass_quadrature"] = transport_mass_case2(geometry, model).total
+        row["mass_closed"] = transport_mass(geometry, model, "expansion").total
+        row["mass_quadrature"] = transport_mass(geometry, model).total
 
     if mc_cfg.get("enabled"):
         if scenario == "transport":

@@ -98,8 +98,8 @@ def _link_table(a: float) -> Tuple[np.ndarray, float]:
     return tab, (LINK_TABLE_POINTS - 1) / b_hi
 
 
-def _escape_counts(cfg: McConfig, event: str) -> int:
-    """Trials of ``cfg`` in which ``event`` ("isolated_only", "joint" or
+def _escape_counts(cfg: McConfig) -> int:
+    """Trials of ``cfg`` in which ``cfg.event`` ("isolated_only", "joint" or
     "full") holds."""
     model = cfg.channel
     g = cfg.geometry
@@ -126,7 +126,7 @@ def _escape_counts(cfg: McConfig, event: str) -> int:
     # infinite coefficients (alpha = 0) map far beyond the table, giving H = 0
     b_coeffs = np.where(np.isinf(b_coeffs), 1e9, b_coeffs)
     return _kernels.escape_trials(cfg.seed, cfg.trials, n, (g.L, g.w), node0,
-                                  cone_tan, b_coeffs, tab, inv_step, event, reach,
+                                  cone_tan, b_coeffs, tab, inv_step, cfg.event, reach,
                                   0.5 * model.eta)
 
 
@@ -136,21 +136,14 @@ def run_escape_isolation(cfg: McConfig) -> McEstimate:
     ``event="joint"`` counts trials where node 0 reaches nobody while the
     interior graph is fully connected; ``event="isolated_only"`` drops the
     interior condition (the two coincide in dense regimes); ``event="full"``
-    counts trials where all nodes form one component, as
-    :func:`run_full_connectivity` does. The kernel skips the draws the event
-    does not need: the interior pair graph for ``"isolated_only"`` and, for
-    ``"joint"``, in every trial where node 0 links, and the cross-wall
-    coordinates of nodes beyond the cones' reach.
+    counts trials where all nodes form one component. The kernel skips the
+    draws the event does not need: the interior pair graph for
+    ``"isolated_only"`` and, for ``"joint"``, in every trial where node 0
+    links, and the cross-wall coordinates of nodes beyond the cones' reach.
     Every draw is keyed by its trial, stream and index, so the counts are
     those of a run that draws everything.
     """
-    count = _escape_counts(cfg, cfg.event)
-    return McEstimate.from_counts(count, cfg.trials, cfg.seed)
-
-
-def run_full_connectivity(cfg: McConfig) -> McEstimate:
-    """Estimate the probability that all nodes form a single component."""
-    return McEstimate.from_counts(_escape_counts(cfg, "full"), cfg.trials, cfg.seed)
+    return McEstimate.from_counts(_escape_counts(cfg), cfg.trials, cfg.seed)
 
 
 @dataclass(frozen=True)

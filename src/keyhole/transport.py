@@ -75,12 +75,28 @@ class TransportGeometry:
     def abs_y0(self) -> float:
         return -self.node0[1]
 
+    @property
+    def receiving_gap(self) -> Tuple[float, float]:
+        """The gap node 1 sits beyond: [x_u1, x_u2] or [x_l3, x_l4]."""
+        if self.case == "opposite":
+            return self.x_u1, self.x_u2
+        return self.x_l3, self.x_l4
+
+    def counts(self, c_max: int) -> range:
+        """Reflection counts up to c_max that can cross between the gaps:
+        even across opposite walls, odd along the same wall."""
+        return range(0 if self.case == "opposite" else 1, c_max + 1, 2)
+
+    def toward_receiver(self, x: float) -> float:
+        """Offset of x from node 0, positive toward the receiver: leftward
+        across opposite walls, rightward along the same wall."""
+        dx = x - self.node0[0]
+        return -dx if self.case == "opposite" else dx
+
     def theta(self) -> float:
         """Maximum escape angle from the transmitter gap toward the receiver."""
-        x0 = self.node0[0]
-        if self.case == "opposite":
-            return math.atan((x0 - self.x_l1) / self.abs_y0)
-        return math.atan((self.x_l2 - x0) / self.abs_y0)
+        edge = max(self.toward_receiver(self.x_l1), self.toward_receiver(self.x_l2))
+        return math.atan(edge / self.abs_y0)
 
     def wall_gaps(self, k: int) -> Tuple[Tuple[float, float], ...]:
         """Gaps on the wall that an unfolded ray meets at height k*w.
@@ -96,54 +112,26 @@ class TransportGeometry:
         return ((self.x_l1, self.x_l2), (self.x_l3, self.x_l4))
 
     def gaps_straddle(self) -> bool:
-        """True when node 0 sits directly under the receiving gap (case 1)."""
-        if self.case != "opposite":
-            return False
-        return self.x_u1 <= self.node0[0] <= self.x_u2
+        """True when node 0 sits directly under the receiving gap, which only
+        opposite gaps allow."""
+        lo, hi = self.receiving_gap
+        return lo <= self.node0[0] <= hi
 
 
-def case1_bounds(tg: TransportGeometry, c: int) -> ReflectionRegion:
-    """Region beyond the opposite-wall gap reachable after c reflections.
-
-    Angles are measured from vertical, positive toward the receiver gap.
-    Odd counts exit through the wrong wall and come back empty; when node 0
-    sits directly under the receiving gap only direct rays survive.
-    """
-    if tg.case != "opposite":
-        raise ValueError("case1_bounds applies to the opposite-gaps layout")
-    if c < 0:
-        raise ValueError("reflection count must be non-negative")
-    if c % 2 == 1 or (tg.gaps_straddle() and c != 0):
-        return ReflectionRegion.empty_for(c)
-    x0 = tg.node0[0]
-    return _receiving_region(tg, c, x0 - tg.x_u2, x0 - tg.x_u1)
-
-
-def case1_min_reflections(tg: TransportGeometry, c_max: int) -> Optional[int]:
-    """Smallest even reflection count with a non-empty receiving region."""
-    for c in range(0, c_max + 1, 2):
-        if not case1_bounds(tg, c).empty:
-            return c
-    return None
-
-
-def case2_bounds(tg: TransportGeometry, c: int) -> ReflectionRegion:
-    """Region beyond the same-wall receiving gap after c (odd) reflections."""
-    if tg.case != "same_side":
-        raise ValueError("case2_bounds applies to the same-side layout")
-    if c < 0:
-        raise ValueError("reflection count must be non-negative")
-    if c % 2 == 0:
-        return ReflectionRegion.empty_for(c)
-    x0 = tg.node0[0]
-    return _receiving_region(tg, c, tg.x_l3 - x0, tg.x_l4 - x0)
-
-
-def _receiving_region(tg: TransportGeometry, c: int, near: float,
-                      far: float) -> ReflectionRegion:
+def receiving_region(tg: TransportGeometry, c: int) -> ReflectionRegion:
     """Points beyond the receiving gap that rays from node 0 reach through
-    it after c reflections; ``near`` and ``far`` are the gap edges as
-    offsets from node 0 toward the receiver."""
+    it after c reflections.
+
+    Angles are measured from vertical, positive toward the receiver. A count
+    outside ``tg.counts`` exits through the wrong wall and comes back empty;
+    when node 0 sits directly under the receiving gap only direct rays
+    survive.
+    """
+    if c < 0:
+        raise ValueError("reflection count must be non-negative")
+    if c not in tg.counts(c) or (tg.gaps_straddle() and c != 0):
+        return ReflectionRegion.empty_for(c)
+    near, far = sorted(tg.toward_receiver(x) for x in tg.receiving_gap)
     depth = (c + 1) * tg.w + tg.abs_y0
     # a negative near edge (node 0 under the receiving gap) starts at vertical
     phi_min = max(math.atan(near / depth), 0.0)
@@ -155,29 +143,19 @@ def _receiving_region(tg: TransportGeometry, c: int, near: float,
                             inner=(depth, 1.0, 0.0), outer=(far, 0.0, 1.0))
 
 
-def transport_mass_case1(tg: TransportGeometry, model: ChannelModel,
-                         method: str = "quadrature") -> MassBreakdown:
-    """Mass of the receiving region for opposite gaps, over even counts.
+def transport_mass(tg: TransportGeometry, model: ChannelModel,
+                   method: str = "quadrature") -> MassBreakdown:
+    """Mass of the receiving region, over the counts ``tg.counts(model.C)``.
 
     ``method`` selects the evaluation route: ``quadrature`` (authoritative;
     :func:`mass2d.region_mass`, exact in r and Gauss-Legendre in angle) or
     ``expansion`` (:func:`mass2d.region_expansion`, both bounds about the
     midpoint of each window).
     """
-    return _transport_mass(tg, model, method, range(0, model.C + 1, 2), case1_bounds)
-
-
-def transport_mass_case2(tg: TransportGeometry, model: ChannelModel,
-                         method: str = "quadrature") -> MassBreakdown:
-    """Mass of the receiving region for same-side gaps, over odd counts."""
-    return _transport_mass(tg, model, method, range(1, model.C + 1, 2), case2_bounds)
-
-
-def _transport_mass(tg: TransportGeometry, model: ChannelModel, method: str,
-                    cs: range, bounds: Callable) -> MassBreakdown:
     if method not in ("quadrature", "expansion"):
         raise ValueError(f"unknown method: {method!r}")
-    regions = [bounds(tg, c) for c in cs]
+    cs = tg.counts(model.C)
+    regions = [receiving_region(tg, c) for c in cs]
     if method == "quadrature":
         values = region_mass(regions, model)
     else:
@@ -197,21 +175,21 @@ def min_paths(tg: TransportGeometry, x0, y0, x1, y1,
     inside their gaps, and every one of the c reflection points in between
     must land on a wall: a ray that meets a wall inside a gap (``wall_gaps``)
     leaves there, so that count has no path. Returns arrays (c, r) of the
-    broadcast shape; c is -1 and r is 0 where no count of the admissible
-    parity up to ``c_max`` works.
+    broadcast shape; c is -1 and r is 0 where no count of ``tg.counts(c_max)``
+    works.
     """
     x0, y0, x1, y1 = np.broadcast_arrays(*(np.asarray(v, dtype=float)
                                            for v in (x0, y0, x1, y1)))
     ay0 = -y0
-    if tg.case == "opposite":
-        start, beyond, rx_lo, rx_hi = 0, y1 - tg.w, tg.x_u1, tg.x_u2
-    else:
-        start, beyond, rx_lo, rx_hi = 1, -y1, tg.x_l3, tg.x_l4
+    # node 1's distance beyond the receiving wall: the upper wall when it
+    # sits above the strip, the lower wall when below
+    beyond = np.maximum(y1 - tg.w, -y1)
+    rx_lo, rx_hi = tg.receiving_gap
     dx = x1 - x0
     c_vals = np.full(dx.shape, -1, dtype=np.int64)
     r_vals = np.zeros(dx.shape)
     todo = np.ones(dx.shape, dtype=bool)
-    for c in range(start, c_max + 1, 2):
+    for c in tg.counts(c_max):
         exit_h = (c + 1) * tg.w
         vert = exit_h + ay0 + beyond
         # crossings of the transmitter gap at the lower wall and of the
@@ -229,12 +207,6 @@ def min_paths(tg: TransportGeometry, x0, y0, x1, y1,
         r_vals[ok] = np.hypot(dx[ok], vert[ok])
         todo &= ~ok
     return c_vals, r_vals
-
-
-def transport_min_path(tg: TransportGeometry, p0, p1, c_max: int) -> Optional[Tuple[int, float]]:
-    """``min_paths`` for one pair: (c, r), or None when no count works."""
-    c, r = min_paths(tg, p0[0], p0[1], p1[0], p1[1], c_max)
-    return None if c < 0 else (int(c), float(r))
 
 
 def link_probs_by_count(c_vals: np.ndarray, r_vals: np.ndarray,

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -63,3 +64,39 @@ def test_trace_respects_reflection_budget(capsys):
     path = json.loads(capsys.readouterr().out)
     assert path["reflections"] <= 3
     assert len(path["points"][0]) == 2
+
+
+def same_side_config():
+    cfg = presets.get_preset("fig13")
+    cfg["geometry"] = {"w": 10.0, "L": 100.0, "case": "same_side",
+                       "x_l1": 14.0, "x_l2": 15.0, "x_l3": 17.0, "x_l4": 18.0,
+                       "node0": [14.5, -2.0], "node1": [17.5, -2.0]}
+    cfg["sweep"] = {"parameter": "eps", "values": [0.5, 1.0]}
+    return cfg
+
+
+def test_same_side_eps_sweep_resizes_receiving_gap(tmp_path):
+    cfg = same_side_config()
+    point = cli._apply_sweep(cfg, "eps", 0.5)["geometry"]
+    assert (point["x_l2"], point["x_l4"], point["node0"][0], point["node1"][0]) == (
+        14.5, 17.5, 14.25, 17.25)
+    rows, _ = cli.run_experiment(cfg, tmp_path / "same_side.csv")
+    assert [r["status"] for r in rows] == ["ok", "ok"]
+    assert rows[0]["mass_quadrature"] != rows[1]["mass_quadrature"]
+    for row in rows:
+        # the same-side closed form reaches the CSV next to the quadrature
+        assert math.isfinite(row["mass_closed"])
+        assert row["mass_closed"] == pytest.approx(row["mass_quadrature"], rel=0.05)
+
+
+@pytest.mark.parametrize("name, param", [("fig4", "z0"), ("fig9", "eps"),
+                                         ("fig14", "gap_radius")])
+def test_sweep_parameter_the_scenario_lacks_is_rejected(name, param, tmp_path, capsys):
+    cfg = presets.get_preset(name)
+    cfg["mc"]["enabled"] = False
+    cfg["sweep"] = {"parameter": param, "values": [-1.0, -3.0]}
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(path), "--output", str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err.startswith("config error: sweep.parameter")
+    assert not (tmp_path / "out.csv").exists()

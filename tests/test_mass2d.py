@@ -17,8 +17,7 @@ from keyhole.mass2d import (ClusterInputs, MassBreakdown,
                             mass_numeric, multi_external_bridge_prob,
                             region_mass)
 from keyhole.specfun import integrate_adaptive, lower_inc_gamma
-from keyhole.transport import (TransportGeometry, case1_bounds, case2_bounds,
-                               transport_mass_case1, transport_mass_case2)
+from keyhole.transport import TransportGeometry, receiving_region, transport_mass
 
 
 def make_geometry(**kw):
@@ -309,8 +308,8 @@ REGION_CASES = {
                                for c in range(7)
                                for th in make_geometry(x0=50.1).side_thetas()], 2),
     "3d_on_axis": (lambda: [region_bounds_3d(axis_geometry_3d(), c) for c in range(7)], 3),
-    "case1": (lambda: [case1_bounds(opposite_gaps(), c) for c in range(7)], 2),
-    "case2": (lambda: [case2_bounds(same_side_gaps(), c) for c in range(7)], 2),
+    "case1": (lambda: [receiving_region(opposite_gaps(), c) for c in range(7)], 2),
+    "case2": (lambda: [receiving_region(same_side_gaps(), c) for c in range(7)], 2),
 }
 
 
@@ -476,8 +475,8 @@ def test_mass_paths_do_not_use_adaptive_rule(monkeypatch, model):
     assert mass3d_numeric(on_axis, model).total > 0.0
     assert mass3d_numeric(on_axis, model, azimuthal=True).total > 0.0
     assert mass3d_numeric(off_axis, model).total > 0.0
-    assert transport_mass_case1(opposite_gaps(), model).total > 0.0
-    assert transport_mass_case2(same_side_gaps(), model).total > 0.0
+    assert transport_mass(opposite_gaps(), model).total > 0.0
+    assert transport_mass(same_side_gaps(), model).total > 0.0
     fc = full_connectivity_first_order(make_geometry(), model,
                                        ClusterInputs(rho=0.1, V=2000.0))
     assert 0.0 < fc.p_fc < 1.0

@@ -10,8 +10,7 @@ from keyhole.channel import make_channel_model
 from keyhole.escape3d import Geometry3D, mass3d_numeric
 from keyhole.geometry2d import Geometry2D
 from keyhole.mass2d import mass_numeric
-from keyhole.montecarlo import (McConfig, link_probability_table,
-                                run_escape_isolation, run_full_connectivity)
+from keyhole.montecarlo import McConfig, link_probability_table, run_escape_isolation
 
 
 def preset_point(name, alpha):
@@ -32,7 +31,8 @@ def split_interior_config(trials=200):
 
 
 def event_counts(cfg):
-    return tuple(montecarlo._escape_counts(cfg, e) for e in _kernels.EVENTS)
+    return tuple(montecarlo._escape_counts(dataclasses.replace(cfg, event=e))
+                 for e in _kernels.EVENTS)
 
 
 # (isolated, joint, full) counts pin the random streams and the event logic
@@ -50,7 +50,7 @@ def test_escape_counts_pinned_3d_isolated():
     _, geometry, model = preset_point("fig9", 0.75)
     cfg = McConfig("escape3d", geometry, model, trials=60, seed=12, n=2000,
                    event="isolated_only")
-    assert montecarlo._escape_counts(cfg, "isolated_only") == 35
+    assert montecarlo._escape_counts(cfg) == 35
 
 
 def reach_layouts():
@@ -113,17 +113,19 @@ def test_pair_graph_built_only_where_the_event_needs_it(monkeypatch):
     # escape_trials looks it up on scipy.sparse.csgraph where it builds a graph
     monkeypatch.setattr(csgraph, "connected_components", counting)
     cfg = split_interior_config()
-    iso = montecarlo._escape_counts(cfg, "isolated_only")
+    iso = montecarlo._escape_counts(dataclasses.replace(cfg, event="isolated_only"))
     assert len(calls) == 0
-    montecarlo._escape_counts(cfg, "joint")
+    montecarlo._escape_counts(dataclasses.replace(cfg, event="joint"))
     assert len(calls) == iso == 6
-    montecarlo._escape_counts(cfg, "full")
+    montecarlo._escape_counts(dataclasses.replace(cfg, event="full"))
     assert len(calls) == iso + cfg.trials
 
 
 def test_unknown_event_rejected():
+    cfg = split_interior_config(trials=1)
+    cfg.event = "partial"            # set past McConfig's own check
     with pytest.raises(ValueError, match="unknown event"):
-        montecarlo._escape_counts(split_interior_config(trials=1), "partial")
+        montecarlo._escape_counts(cfg)
     with pytest.raises(ValueError, match="unknown event"):
         dataclasses.replace(split_interior_config(trials=1), event="partial")
 
@@ -131,9 +133,7 @@ def test_unknown_event_rejected():
 def test_run_functions_report_kernel_counts():
     cfg = split_interior_config()
     assert run_escape_isolation(cfg).event_count == 5
-    assert run_full_connectivity(cfg).event_count == 174
-    # McConfig takes every kernel event: "full" counts what
-    # run_full_connectivity counts
+    # McConfig takes every kernel event: "full" counts single-component trials
     assert run_escape_isolation(dataclasses.replace(cfg, event="full")).event_count == 174
     cfg.event = "isolated_only"
     est = run_escape_isolation(cfg)

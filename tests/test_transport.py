@@ -6,10 +6,7 @@ import pytest
 
 from keyhole.channel import make_channel_model
 from keyhole.transport import (TransportGeometry, averaged_connect_prob,
-                               case1_bounds, case1_min_reflections,
-                               case2_bounds, min_paths,
-                               transport_mass_case1, transport_mass_case2,
-                               transport_min_path)
+                               min_paths, receiving_region, transport_mass)
 
 
 def opposite_geometry(w=10.0, y0=-2.0, gap=0.3, x_l1=15.0, x_u1=14.5):
@@ -31,11 +28,33 @@ def model():
     return make_channel_model(K=4.0, beta=1e-3, alpha=0.85, C=6)
 
 
+def min_reflections(tg, c_max):
+    """Smallest count with a non-empty receiving region, or None."""
+    return next((c for c in tg.counts(c_max) if not receiving_region(tg, c).empty), None)
+
+
+def min_path(tg, p0, p1, c_max):
+    """``min_paths`` for one pair: (c, r), or None when no count works."""
+    c, r = min_paths(tg, p0[0], p0[1], p1[0], p1[1], c_max)
+    return None if c < 0 else (int(c), float(r))
+
+
+def test_layout_decides_counts_and_receiving_gap():
+    opp, same = opposite_geometry(), same_side_geometry()
+    assert list(opp.counts(6)) == [0, 2, 4, 6]
+    assert list(same.counts(6)) == [1, 3, 5]
+    assert list(same.counts(0)) == []
+    assert opp.receiving_gap == (14.5, 14.8)
+    assert same.receiving_gap == (23.0, 26.0)
+    with pytest.raises(ValueError, match="non-negative"):
+        receiving_region(opp, -1)
+
+
 def test_case1_parity_and_window():
     tg = opposite_geometry()
-    assert case1_bounds(tg, 1).empty
-    assert case1_bounds(tg, 3).empty
-    reg = case1_bounds(tg, 2)
+    assert receiving_region(tg, 1).empty
+    assert receiving_region(tg, 3).empty
+    reg = receiving_region(tg, 2)
     assert not reg.empty
     depth = 3.0 * tg.w + 2.0
     assert reg.phi_min == pytest.approx(math.atan((15.15 - 14.8) / depth))
@@ -50,8 +69,8 @@ def test_case1_receiver_right_of_node_is_empty():
                            x_l2=15.3, x_u1=16.0, x_u2=16.3,
                            node0=(15.15, -2.0), node1=(16.15, 12.0))
     for c in (0, 2, 4, 6):
-        assert case1_bounds(tg, c).empty
-    assert case1_min_reflections(tg, 6) is None
+        assert receiving_region(tg, c).empty
+    assert min_reflections(tg, 6) is None
 
 
 def test_case1_los_impossibility_forces_two_reflections():
@@ -61,7 +80,7 @@ def test_case1_los_impossibility_forces_two_reflections():
                            node0=(15.15, -2.0), node1=(13.15, 12.0))
     theta = tg.theta()
     assert tg.node0[0] - (2.0 + 10.0) * math.tan(theta) > tg.x_u2
-    cmin = case1_min_reflections(tg, 6)
+    cmin = min_reflections(tg, 6)
     assert cmin is not None and cmin >= 2
 
 
@@ -70,9 +89,9 @@ def test_case1_straddling_gaps_direct_only():
                            x_l2=15.3, x_u1=15.0, x_u2=15.3,
                            node0=(15.15, -2.0), node1=(15.15, 12.0))
     assert tg.gaps_straddle()
-    assert not case1_bounds(tg, 0).empty
+    assert not receiving_region(tg, 0).empty
     for c in (2, 4, 6):
-        assert case1_bounds(tg, c).empty
+        assert receiving_region(tg, c).empty
 
 
 def test_case2_parity():
@@ -82,13 +101,15 @@ def test_case2_parity():
     assert min_paths(tg, x0, y0, x1, y1, 0)[0] == -1
     assert min_paths(tg, x0, y0, x1, y1, 1)[0] == 1
     assert min_paths(tg, x0, y0, x1, y1, 2)[0] == 1
-    assert case2_bounds(tg, 2).empty
+    assert receiving_region(tg, 0).empty
+    assert receiving_region(tg, 2).empty
+    assert not receiving_region(tg, 1).empty
 
 
 def test_case2_path_triangle():
     # one bounce off the upper wall: 10 across and 2*10 + 2 + 2 up
     tg = same_side_geometry()
-    c, r = transport_min_path(tg, tg.node0, tg.node1, 6)
+    c, r = min_path(tg, tg.node0, tg.node1, 6)
     assert c == 1
     assert r == pytest.approx(26.0, rel=1e-12)
 
@@ -99,7 +120,7 @@ def test_case2_path_outside_cone_infeasible():
     for c in (1, 3):
         vert = (c + 1) * tg.w + 2.0 + 0.5
         assert math.atan((40.0 - 15.0) / vert) > tg.theta()
-    c, r = transport_min_path(tg, tg.node0, tg.node1, 6)
+    c, r = min_path(tg, tg.node0, tg.node1, 6)
     assert c == 5
     assert r == pytest.approx(math.hypot(25.0, 6 * tg.w + 2.5), rel=1e-12)
 
@@ -109,7 +130,7 @@ def test_same_side_exit_must_fall_in_receiver_gap():
     # lower wall at x=20.17, left of the receiver gap; c=3 gets through
     tg = same_side_geometry(x_l2=15.983, x_l3=20.395, x_l4=20.751,
                             node0=(14.033, -2.756), node1=(20.685, -1.899))
-    got = transport_min_path(tg, tg.node0, tg.node1, 6)
+    got = min_path(tg, tg.node0, tg.node1, 6)
     want = traced_min_path(tg, tg.node0, tg.node1, 6)
     assert got[0] == want[0] == 3
     assert got[1] == pytest.approx(want[1], rel=1e-9)
@@ -119,50 +140,55 @@ def test_mass_case1_empty_when_unreachable(model):
     tg = TransportGeometry(w=10.0, L=100.0, case="opposite", x_l1=15.0,
                            x_l2=15.3, x_u1=16.0, x_u2=16.3,
                            node0=(15.15, -2.0), node1=(16.15, 12.0))
-    assert transport_mass_case1(tg, model).total == 0.0
+    assert transport_mass(tg, model).total == 0.0
 
 
-@pytest.mark.parametrize("w", [10.0, 15.0, 20.0])
-def test_mass_case1_expansion_matches_quadrature(model, w):
-    tg = opposite_geometry(w=w)
-    quad = transport_mass_case1(tg, model)
-    exp = transport_mass_case1(tg, model, "expansion")
+@pytest.mark.parametrize("tg", [
+    opposite_geometry(w=10.0), opposite_geometry(w=15.0), opposite_geometry(w=20.0),
+    # receiver gaps [23, 26], [19, 21] and [17, 19]: 0.14%, 0.42% and 1.9% apart
+    same_side_geometry(),
+    same_side_geometry(x_l3=19.0, x_l4=21.0, node1=(20.0, -2.0)),
+    same_side_geometry(x_l3=17.0, x_l4=19.0, node1=(18.0, -2.0)),
+], ids=["10.0", "15.0", "20.0", "same_side-23-26", "same_side-19-21", "same_side-17-19"])
+def test_mass_case1_expansion_matches_quadrature(model, tg):
+    quad = transport_mass(tg, model)
+    exp = transport_mass(tg, model, "expansion")
     assert quad.total > 0.0
     assert abs(exp.total - quad.total) / quad.total <= 0.05
 
 
-@pytest.mark.parametrize("mass, geometry", [(transport_mass_case1, opposite_geometry),
-                                            (transport_mass_case2, same_side_geometry)])
-def test_expansion_rejects_eta_other_than_two(mass, geometry):
+@pytest.mark.parametrize("geometry", [opposite_geometry, same_side_geometry],
+                         ids=["opposite", "same_side"])
+def test_expansion_rejects_eta_other_than_two(geometry):
     # the expansion is derived for eta = 2; the quadrature takes any eta
     m = make_channel_model(K=4.0, beta=1e-3, eta=3.0, alpha=0.85, C=6)
-    assert math.isfinite(mass(geometry(), m).total)
+    assert math.isfinite(transport_mass(geometry(), m).total)
     with pytest.raises(ValueError, match="eta = 2"):
-        mass(geometry(), m, "expansion")
+        transport_mass(geometry(), m, "expansion")
 
 
 def test_mass_case1_per_c_decreasing(model):
     for w in (10.0, 15.0, 20.0):
-        br = transport_mass_case1(opposite_geometry(w=w), model)
+        br = transport_mass(opposite_geometry(w=w), model)
         values = [v for _, v in br.per_c if v > 1e-12 * max(br.total, 1e-300)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_mass_case1_monotone_in_gap(model):
-    totals = [transport_mass_case1(opposite_geometry(gap=gap), model).total
+    totals = [transport_mass(opposite_geometry(gap=gap), model).total
               for gap in (0.1, 0.2, 0.3, 0.4, 0.5)]
     assert all(a < b for a, b in zip(totals, totals[1:]))
 
 
 def test_mass_case1_decreases_toward_wall(model):
-    totals = [transport_mass_case1(opposite_geometry(y0=y), model).total
+    totals = [transport_mass(opposite_geometry(y0=y), model).total
               for y in (-3.0, -2.0, -1.0, -0.5)]
     assert all(a > b for a, b in zip(totals, totals[1:]))
 
 
 def test_mass_case2_far_gap_is_zero(model):
     tg = same_side_geometry(x_l3=90.0, x_l4=93.0, node1=(91.5, -2.0))
-    assert transport_mass_case2(tg, model).total == 0.0
+    assert transport_mass(tg, model).total == 0.0
 
 
 def test_mass_case2_mirror_symmetry(model):
@@ -175,13 +201,13 @@ def test_mass_case2_mirror_symmetry(model):
         x_l1=14.0 + shift, x_l2=16.0 + shift,
         x_l3=23.0 + shift, x_l4=26.0 + shift,
         node0=(15.0 + shift, -2.0), node1=(25.0 + shift, -2.0))
-    a = transport_mass_case2(tg, model).total
-    b = transport_mass_case2(flipped, model).total
+    a = transport_mass(tg, model).total
+    b = transport_mass(flipped, model).total
     assert a == pytest.approx(b, rel=1e-9)
 
 
 def test_mass_case2_parity_only_odd(model):
-    br = transport_mass_case2(same_side_geometry(), model)
+    br = transport_mass(same_side_geometry(), model)
     assert all(c % 2 == 1 for c, _ in br.per_c)
 
 
@@ -252,7 +278,7 @@ def test_transport_min_path_matches_ray_trace():
         assert cs.shape == rs.shape == (len(group),)
         for (_, p0, p1), c_b, r_b in zip(group, cs, rs):
             batched = None if c_b < 0 else (int(c_b), float(r_b))
-            got = transport_min_path(tg, p0, p1, 6)
+            got = min_path(tg, p0, p1, 6)
             want = traced_min_path(tg, p0, p1, 6)
             if want is None:
                 assert got is None and batched is None, (tg.case, p0, p1, got, batched)
@@ -295,7 +321,7 @@ def test_run_transport_agrees_with_min_path(model):
     y1 = coord(_kernels.STREAM_NODE1, 1, box1[2], box1[3])
     attempts = [0] * (model.C + 1)
     for i in range(trials):
-        path = transport_min_path(tg, (x0[i], y0[i]), (x1[i], y1[i]), model.C)
+        path = min_path(tg, (x0[i], y0[i]), (x1[i], y1[i]), model.C)
         if path is not None:
             attempts[path[0]] += 1
     assert est.per_c_attempts == tuple(attempts)
