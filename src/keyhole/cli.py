@@ -19,23 +19,19 @@ from pathlib import Path
 
 from . import presets as presets_mod
 from .channel import make_channel_model
-from .escape3d import Geometry3D, mass3d_closed_form, mass3d_numeric
+from .escape3d import Geometry3D
 from .geometry2d import Geometry2D
-from .mass2d import mass_closed_form, mass_numeric
+from .mass2d import mass
 from .montecarlo import McConfig, run_escape_isolation, run_transport, trace_ray
 from .specfun import fit_exponential_approx
-from .transport import TransportGeometry, transport_mass
+from .transport import TransportGeometry
 
 CSV_SCHEMA = "# keyhole-results v1"
 CSV_COLUMNS = ("sweep_param", "value", "mass_closed", "mass_quadrature",
                "isolation_analytic", "mc_p_hat", "mc_std_err", "trials",
                "seed", "status")
-# the values a sweep can set, per scenario: a key the geometry never reads is an error
-SWEEP_PARAMETERS = {
-    "escape2d": ("alpha", "eps", "w", "y0"),
-    "escape3d": ("alpha", "gap_radius", "w", "y0", "z0"),
-    "transport": ("alpha", "eps", "w", "y0"),
-}
+# the layout class of each scenario name a config may give
+SCENARIOS = {cls.scenario: cls for cls in (Geometry2D, Geometry3D, TransportGeometry)}
 
 
 class ConfigError(ValueError):
@@ -76,16 +72,31 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
-def _validate_sweep(cfg: dict) -> tuple:
+def _parse_geometry(cfg: dict):
+    """The config's layout at its base values; a missing, unknown or invalid
+    key is a ConfigError."""
+    scenario = _require(cfg, "scenario")
+    if scenario not in SCENARIOS:
+        raise ConfigError(f"unknown scenario: {scenario!r}")
+    # JSON lists are the coordinate pairs of the layout classes
+    args = {key: tuple(v) if isinstance(v, list) else v
+            for key, v in _require(cfg, "geometry").items()}
+    if "sides" in cfg:
+        args["sides"] = cfg["sides"]
+    try:
+        return SCENARIOS[scenario](**args)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"geometry: {exc}") from exc
+
+
+def _validate_sweep(cfg: dict, geometry) -> tuple:
     sweep = _require(cfg, "sweep")
     param = _require(sweep, "parameter")
     values = _require(sweep, "values")
-    scenario = cfg["scenario"]
-    if scenario not in SWEEP_PARAMETERS:
-        raise ConfigError(f"unknown scenario: {scenario!r}")
-    if param not in SWEEP_PARAMETERS[scenario]:
-        raise ConfigError(f"sweep.parameter of a {scenario} config must be one of "
-                          f"{list(SWEEP_PARAMETERS[scenario])}")
+    allowed = ("alpha", *geometry.sweep_parameters)
+    if param not in allowed:
+        raise ConfigError(f"sweep.parameter of a {geometry.scenario} config must be one of "
+                          f"{list(allowed)}")
     if not values:
         raise ConfigError("sweep.values must be non-empty")
     diffs = [b - a for a, b in zip(values, values[1:])]
@@ -94,108 +105,57 @@ def _validate_sweep(cfg: dict) -> tuple:
     return param, list(values)
 
 
-def _apply_sweep(cfg: dict, param: str, value: float) -> dict:
-    out = json.loads(json.dumps(cfg))
-    geo = out["geometry"]
-    transport = out["scenario"] == "transport"
+def _sweep_row(cfg: dict, geometry, rho, param: str, value: float) -> dict:
+    ch = dict(cfg["channel"])
     if param == "alpha":
-        out["channel"]["alpha"] = value
-    elif param == "eps" and transport:
-        # both gaps resized in place from their left edges, nodes kept centred
-        lo, hi = ("x_u1", "x_u2") if geo["case"] == "opposite" else ("x_l3", "x_l4")
-        geo["x_l2"] = geo["x_l1"] + value
-        geo[hi] = geo[lo] + value
-        geo["node0"][0] = geo["x_l1"] + value / 2.0
-        geo["node1"][0] = geo[lo] + value / 2.0
-    elif param == "y0" and transport:
-        geo["node0"][1] = value
-    elif param == "w" and transport:
-        # a node beyond the upper wall keeps its height above that wall
-        if geo["case"] == "opposite":
-            geo["node1"][1] = value + (geo["node1"][1] - geo["w"])
-        geo["w"] = value
+        ch["alpha"] = value
     else:
-        geo[param] = value
-    return out
-
-
-def _build_geometry(cfg: dict):
-    scenario = cfg["scenario"]
-    geo = dict(cfg["geometry"])
-    if scenario == "escape2d":
-        return Geometry2D(w=geo["w"], L=geo["L"], eps=geo["eps"],
-                          gap_center_x=geo["gap_center_x"], x0=geo["x0"],
-                          y0=geo["y0"], sides=cfg.get("sides", "both"))
-    if scenario == "escape3d":
-        return Geometry3D(w=geo["w"], L=geo["L"], gap_radius=geo["gap_radius"],
-                          gap_center=tuple(geo["gap_center"]), x0=geo["x0"],
-                          y0=geo["y0"], z0=geo["z0"])
-    if scenario == "transport":
-        return TransportGeometry(
-            w=geo["w"], L=geo["L"], case=geo["case"], x_l1=geo["x_l1"],
-            x_l2=geo["x_l2"], x_u1=geo.get("x_u1"), x_u2=geo.get("x_u2"),
-            x_l3=geo.get("x_l3"), x_l4=geo.get("x_l4"),
-            node0=tuple(geo["node0"]), node1=tuple(geo["node1"]))
-    raise ConfigError(f"unknown scenario: {scenario!r}")
-
-
-def _sweep_row(cfg: dict, param: str, value: float) -> dict:
-    point = _apply_sweep(cfg, param, value)
-    scenario = point["scenario"]
-    ch = point["channel"]
+        geometry = geometry.swept(param, value)
     model = make_channel_model(K=ch["K"], beta=ch["beta"], eta=ch.get("eta", 2.0),
                                alpha=ch["alpha"], C=ch.get("C", 6))
-    geometry = _build_geometry(point)
-    mc_cfg = point.get("mc", {})
-    row = {"sweep_param": param, "value": value, "mass_closed": math.nan,
-           "mass_quadrature": math.nan, "isolation_analytic": math.nan,
+    mc_cfg = cfg.get("mc", {})
+    row = {"sweep_param": param, "value": value,
+           "mass_closed": mass(geometry, model, "closed_form").total,
+           "mass_quadrature": mass(geometry, model).total, "isolation_analytic": math.nan,
            "mc_p_hat": math.nan, "mc_std_err": math.nan,
            "trials": int(mc_cfg.get("trials", 0)) if mc_cfg.get("enabled") else 0,
            "seed": int(mc_cfg.get("seed", 0)), "status": "ok"}
-
-    if scenario == "escape2d":
-        row["mass_closed"] = mass_closed_form(geometry, model).total
-        row["mass_quadrature"] = mass_numeric(geometry, model).total
-        row["isolation_analytic"] = math.exp(-point["rho"] * row["mass_quadrature"])
-    elif scenario == "escape3d":
-        row["mass_closed"] = mass3d_closed_form(geometry, model).total
-        row["mass_quadrature"] = mass3d_numeric(geometry, model).total
-        row["isolation_analytic"] = math.exp(-point["rho"] * row["mass_quadrature"])
-    else:
-        row["mass_closed"] = transport_mass(geometry, model, "expansion").total
-        row["mass_quadrature"] = transport_mass(geometry, model).total
-
+    # a layout with a node population carries its density and isolation
+    if rho is not None:
+        row["isolation_analytic"] = math.exp(-rho * row["mass_quadrature"])
     if mc_cfg.get("enabled"):
-        if scenario == "transport":
-            mc = McConfig(scenario=scenario, geometry=geometry, channel=model,
-                          trials=int(mc_cfg["trials"]), seed=int(mc_cfg["seed"]))
-            est = run_transport(mc).estimate
-        else:
-            mc = McConfig(scenario=scenario, geometry=geometry, channel=model,
-                          trials=int(mc_cfg["trials"]), seed=int(mc_cfg["seed"]),
-                          rho=point["rho"], event=mc_cfg.get("event", "joint"))
-            est = run_escape_isolation(mc)
+        mc = McConfig(geometry, model, trials=int(mc_cfg["trials"]),
+                      seed=int(mc_cfg["seed"]), rho=rho, event=mc_cfg.get("event", "joint"))
+        est = run_escape_isolation(mc) if rho is not None else run_transport(mc).estimate
         row["mc_p_hat"] = est.p_hat
         row["mc_std_err"] = est.std_err
     return row
 
 
 def run_experiment(source, output_path=None) -> tuple:
-    """Execute a sweep config; returns (rows, csv_path)."""
+    """Execute a sweep config; returns (rows, csv_path).
+
+    The whole config is checked before the first row: a missing or unknown
+    key raises ConfigError. A row whose layout or computation fails at its
+    sweep value is written with an ``error:`` status instead.
+    """
     cfg = load_config(source) if isinstance(source, (str, Path)) else source
     if cfg.get("schema", "keyhole-config-v1") != "keyhole-config-v1":
         raise ConfigError(f"unsupported config schema: {cfg.get('schema')!r}")
-    _require(cfg, "scenario")
-    _require(cfg, "geometry")
-    _require(cfg, "channel")
-    param, values = _validate_sweep(cfg)
-    if cfg["scenario"] != "transport":
-        _require(cfg, "rho")
+    geometry = _parse_geometry(cfg)
+    param, values = _validate_sweep(cfg, geometry)
+    channel = _require(cfg, "channel")
+    for key in ("K", "beta") if param == "alpha" else ("K", "beta", "alpha"):
+        _require(channel, key)
+    mc = cfg.get("mc", {})
+    for key in ("trials", "seed") if mc.get("enabled") else ():
+        _require(mc, key)
+    rho = _require(cfg, "rho") if geometry.domain_measure() is not None else None
 
     rows = []
     for value in values:
         try:
-            rows.append(_sweep_row(cfg, param, value))
+            rows.append(_sweep_row(cfg, geometry, rho, param, value))
         except (ConfigError, KeyboardInterrupt):
             raise
         except Exception as exc:  # numerical failure: flag the row, keep going
@@ -266,14 +226,12 @@ def _cmd_presets(args) -> int:
 
 def _cmd_trace(args) -> int:
     try:
-        cfg = load_config(args.geometry)
-        if cfg.get("scenario") == "transport":
-            raise ConfigError("trace needs an escape geometry; transport has no tracer")
-        geometry = _build_geometry(cfg)
+        geometry = _parse_geometry(load_config(args.geometry))
+        # the angle tilts the ray from the wall normal, the last coordinate, toward +x
         sin, cos = math.sin(args.angle), math.cos(args.angle)
-        direction = (sin, cos) if isinstance(geometry, Geometry2D) else (sin, 0.0, cos)
+        direction = (sin, *[0.0] * (len(args.origin) - 2), cos)
         path = trace_ray(geometry, args.origin, direction, args.max_reflections)
-    except ValueError as exc:  # a ConfigError, or an origin of the wrong length
+    except ValueError as exc:  # a ConfigError, a layout with no tracer or a bad origin
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     print(json.dumps({"points": [list(p) for p in path.points],

@@ -3,32 +3,37 @@
 The slab is [0, L] x [0, L] x [0, w] with the external node below the floor
 at z0 < 0. For a node on the gap axis the escape cone has half-angle
 theta = atan(gap_radius / |z0|), and the reflection regions take the same
-form as in the plane with |z0| in place of |y0|.
+form as in the plane with |z0| in place of |y0|. ``Geometry3D`` answers the
+layout questions of ``geometry2d`` (regions, domain, trial set-up, sweep,
+tracing).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import ClassVar, Tuple
 
 import numpy as np
 
-from .channel import ChannelModel
-from .geometry2d import ReflectionRegion, cone_region
-from .mass2d import MassBreakdown, escape_about, region_expansion, region_mass
+from .geometry2d import ReflectionRegion, RegionSet, cone_region, escape_about
 # integrate_adaptive is unused here but stays bound: perfbench's tracer test
 # checks that it patches every module-level binding of it
 from .specfun import integrate_adaptive  # noqa: F401
 
-# azimuths of the periodic trapezoid rule in mass3d_numeric off axis; 128
-# keeps it to 1e-13 relative even for a node 0.05 inside the rim of a gap
-# of radius 5 (64 nodes: 5e-8)
+# azimuths of the periodic trapezoid rule of an off-axis node's regions; 128
+# keeps the mass to 1e-13 relative even for a node 0.05 inside the rim of a
+# gap of radius 5 (64 nodes: 5e-8)
 AZIMUTH_NODES = 128
 
 
 @dataclass(frozen=True)
 class Geometry3D:
+    scenario: ClassVar[str] = "escape3d"
+    sweep_parameters: ClassVar[Tuple[str, ...]] = ("gap_radius", "w", "y0", "z0")
+    axis: ClassVar[int] = 2                 # the wall-normal coordinate
+
     w: float
     L: float
     gap_radius: float
@@ -76,45 +81,45 @@ class Geometry3D:
         reach = -ue + math.sqrt(self.gap_radius ** 2 - d2 + ue * ue)
         return math.atan(reach / self.abs_z0)
 
+    def regions(self, model) -> RegionSet:
+        """D_0 .. D_C in inclination. On the gap axis the azimuthal integral
+        is the factor 2 pi. Off axis it is a periodic trapezoid rule over
+        ``AZIMUTH_NODES`` azimuths, azimuth fastest, and no closed form is
+        derived."""
+        counts = tuple(range(model.C + 1))
+        if self.is_on_axis():
+            regions = tuple(region_bounds_3d(self, c) for c in counts)
+            return RegionSet(regions, 3, counts, 2.0 * math.pi, escape_about(regions))
+        varphis = 2.0 * math.pi / AZIMUTH_NODES * np.arange(AZIMUTH_NODES)
+        regions = tuple(region_bounds_3d(self, c, v) for c in counts for v in varphis)
+        return RegionSet(regions, 3, counts, 2.0 * math.pi / AZIMUTH_NODES, None,
+                         "the closed form assumes a node on the gap axis")
+
+    def domain_measure(self) -> float:
+        return self.w * self.L * self.L
+
+    def mc_setup(self):
+        """Node 0, the cone tangent per radial offset, node 0's depth below
+        the floor and the largest tangent, for the trial kernel."""
+        if not self.is_on_axis():
+            raise NotImplementedError("3-D trials assume a node on the gap axis")
+        tan_max = math.tan(self.theta())
+        return (self.x0, self.y0, self.z0), lambda rad: tan_max, self.abs_z0, tan_max
+
+    def swept(self, param: str, value: float) -> "Geometry3D":
+        """This layout with ``param``, one of ``sweep_parameters``, set to ``value``."""
+        if param not in self.sweep_parameters:
+            raise ValueError(f"a {self.scenario} layout has no sweep parameter {param!r}")
+        return dataclasses.replace(self, **{param: value})
+
+    def in_gap(self, p) -> bool:
+        gx, gy = self.gap_center
+        return math.hypot(p[0] - gx, p[1] - gy) <= self.gap_radius
+
 
 def region_bounds_3d(g: Geometry3D, c: int, varphi: float = 0.0) -> ReflectionRegion:
     """Inclination and radial bounds of the 3-D region D_c at one azimuth."""
     return cone_region(c, g.theta(varphi), g.abs_z0, g.w)
-
-
-def mass3d_numeric(g: Geometry3D, model: ChannelModel,
-                   azimuthal: bool = False) -> MassBreakdown:
-    """3-D connectivity mass by quadrature over inclination (and azimuth).
-
-    The inclination integral is :func:`mass2d.region_mass` (exact radial
-    integral, fixed-order Gauss-Legendre in inclination). For an on-axis
-    node the azimuthal integral is the factor 2*pi; off axis, or when
-    ``azimuthal`` forces it (used to verify the axisymmetric shortcut), it
-    is a periodic trapezoid rule over ``AZIMUTH_NODES`` azimuths.
-    """
-    cs = range(model.C + 1)
-    if g.is_on_axis() and not azimuthal:
-        per_c = 2.0 * math.pi * region_mass([region_bounds_3d(g, c) for c in cs],
-                                            model, dim=3)
-    else:
-        varphis = 2.0 * math.pi / AZIMUTH_NODES * np.arange(AZIMUTH_NODES)
-        regions = [region_bounds_3d(g, c, v) for c in cs for v in varphis]
-        per_c = 2.0 * math.pi / AZIMUTH_NODES * region_mass(
-            regions, model, dim=3).reshape(len(cs), AZIMUTH_NODES).sum(axis=1)
-    return MassBreakdown.from_contributions(enumerate(per_c), "quadrature", "full")
-
-
-def mass3d_closed_form(g: Geometry3D, model: ChannelModel) -> MassBreakdown:
-    """Small-angle closed form of the 3-D connectivity mass (on-axis node):
-    :func:`mass2d.region_expansion` over the regions of :func:`mass3d_numeric`.
-    Only the total is held to :func:`mass3d_numeric`; see
-    :func:`mass2d.region_expansion` on per-c values.
-    """
-    if not g.is_on_axis():
-        raise ValueError("the closed form assumes a node on the gap axis")
-    regions = [region_bounds_3d(g, c) for c in range(model.C + 1)]
-    per_c = 2.0 * math.pi * region_expansion(regions, model, 3, escape_about(regions))
-    return MassBreakdown.from_contributions(enumerate(per_c), "closed_form", "full")
 
 
 def volume_ratio_first_reflection(g: Geometry3D) -> float:

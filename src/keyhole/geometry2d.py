@@ -9,13 +9,21 @@ reflected path becomes a straight segment to the image of its endpoint.
 Each D_c has one description, the polar ``ReflectionRegion`` of
 :func:`region_bounds` (angle from the wall normal and unfolded distance from
 node 0, per side of node 0), which the mass and the bridge term integrate.
+
+Every layout class (``Geometry2D``, ``escape3d.Geometry3D``,
+``transport.TransportGeometry``) answers the same questions, so no caller
+needs to know which one it holds: ``regions(model)`` (what ``mass2d.mass``
+integrates), ``domain_measure()``, ``mc_setup()``, ``swept(param, value)``,
+and ``axis`` and ``in_gap`` for ``montecarlo.trace_ray``. Its ``scenario``
+names it in configs.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import ClassVar, Optional, Tuple
 
 import numpy as np
 
@@ -30,6 +38,10 @@ class Geometry2D:
     ``gap_center_x +- eps/2`` and the external node sits at (x0, y0) with
     y0 < 0, horizontally inside the gap span.
     """
+
+    scenario: ClassVar[str] = "escape2d"
+    sweep_parameters: ClassVar[Tuple[str, ...]] = ("eps", "w", "y0")
+    axis: ClassVar[int] = 1                 # the wall-normal coordinate
 
     w: float
     L: float
@@ -88,10 +100,34 @@ class Geometry2D:
         tan_r = math.tan(self.theta_right()) if self.sides == "both" else -math.inf
         return np.where(dx > 0.0, tan_r, math.tan(self.theta()))
 
+    def regions(self, model) -> RegionSet:
+        """D_0 .. D_C on each side of node 0, side fastest; a count's sides
+        add up. The closed form warns beyond an escape angle of 0.3 rad."""
+        thetas = self.side_thetas()
+        counts = tuple(range(model.C + 1))
+        regions = tuple(cone_region(c, th, self.abs_y0, self.w) for c in counts for th in thetas)
+        widest = max(thetas)
+        caveat = (f"escape angle {widest:.3f} rad is large; closed-form accuracy degrades"
+                  if widest > 0.3 else "")
+        return RegionSet(regions, 2, counts, 1.0, escape_about(regions), caveat)
 
-def max_escape_angle(g: Geometry2D) -> float:
-    """Widest angle from vertical at which a ray from node 0 clears the gap."""
-    return g.theta()
+    def domain_measure(self) -> float:
+        return self.w * self.L
+
+    def mc_setup(self):
+        """Node 0, the cone tangent per offset (:meth:`cone_tan`), node 0's
+        depth below the wall and the largest tangent, for the trial kernel."""
+        return ((self.x0, self.y0), self.cone_tan, self.abs_y0,
+                max(math.tan(th) for th in self.side_thetas()))
+
+    def swept(self, param: str, value: float) -> "Geometry2D":
+        """This layout with ``param``, one of ``sweep_parameters``, set to ``value``."""
+        if param not in self.sweep_parameters:
+            raise ValueError(f"a {self.scenario} layout has no sweep parameter {param!r}")
+        return dataclasses.replace(self, **{param: value})
+
+    def in_gap(self, p) -> bool:
+        return self.gap_left <= p[0] <= self.gap_right
 
 
 def y_image(c: int, y, w: float):
@@ -167,6 +203,29 @@ def cone_region(c: int, th: float, depth: float, w: float) -> ReflectionRegion:
         inner = (2.0 * (c * w + depth) * math.sin(th), math.sin(th), math.cos(th))
     return ReflectionRegion(c=c, phi_min=phi_min, phi_max=th, inner=inner,
                             outer=((c + 1) * w + depth, 1.0, 0.0))
+
+
+def escape_about(regions):
+    """Expansion angles (inner, outer) of escape regions for
+    :func:`mass2d.region_expansion`: the outer bound about 0, the inner about
+    0 for the direct region and about theta/2 for a reflected one."""
+    return tuple((0.5 * reg.phi_max if reg.c else 0.0, 0.0) for reg in regions)
+
+
+@dataclass(frozen=True)
+class RegionSet:
+    """A layout's reflection regions in ``dim`` dimensions: one equal-sized
+    group per entry of ``counts``, group after group. A count's mass is its
+    group's sum times ``scale``. ``about`` holds the expansion angles of
+    :func:`mass2d.region_expansion`, or None where no closed form is derived;
+    ``caveat`` then says why, and otherwise is the closed form's warning."""
+
+    regions: Tuple[ReflectionRegion, ...]
+    dim: int
+    counts: Tuple[int, ...]
+    scale: float
+    about: Optional[Tuple[Tuple[float, float], ...]]
+    caveat: str = ""
 
 
 def classify_point(g: Geometry2D, p, c_max: int = 64) -> Optional[Tuple[int, float]]:

@@ -5,8 +5,9 @@ reflection regions D_c, each a ``geometry2d.ReflectionRegion`` (an angle
 window between two bounding lines). Two routes take lists of regions, in
 2-D, in 3-D and for transport: :func:`region_mass`, the quadrature
 (authoritative; exact in r, Gauss-Legendre in angle), and
-:func:`region_expansion`, its small-angle closed form. The isolation
-probability of the external node is exp(-rho * mass).
+:func:`region_expansion`, its small-angle closed form. :func:`mass` runs
+either one over the ``RegionSet`` of any layout. The isolation probability
+of the external node is exp(-rho * mass).
 
 :func:`full_connectivity_first_order` corrects it with two interior-isolation
 terms, each with one route on the Gaussian surrogate: the first term, whose
@@ -39,13 +40,12 @@ class MassBreakdown:
     per_c: Tuple[Tuple[int, float], ...]
     total: float
     method: str                # "closed_form" or "quadrature"
-    side_convention: str
 
     @staticmethod
-    def from_contributions(per_c, method, side_convention) -> "MassBreakdown":
+    def from_contributions(per_c, method) -> "MassBreakdown":
         per_c = tuple((int(c), float(v)) for c, v in per_c)
         return MassBreakdown(per_c=per_c, total=float(sum(v for _, v in per_c)),
-                             method=method, side_convention=side_convention)
+                             method=method)
 
 
 @dataclass
@@ -193,48 +193,30 @@ def region_expansion(regions, model: ChannelModel, dim: int, about) -> np.ndarra
     return out
 
 
-def escape_about(regions):
-    """Expansion angles (inner, outer) of escape regions for
-    :func:`region_expansion`: the outer bound about 0, the inner about 0 for
-    the direct region and about theta/2 for a reflected one."""
-    return [(0.5 * reg.phi_max if reg.c else 0.0, 0.0) for reg in regions]
+def mass(geometry, model: ChannelModel, method: str = "quadrature") -> MassBreakdown:
+    """Connectivity mass of any layout, per reflection count.
 
-
-def _escape_regions(g: Geometry2D, model: ChannelModel):
-    """D_0 .. D_C on each side of node 0, side fastest."""
-    return [region_bounds(g, c, th) for c in range(model.C + 1) for th in g.side_thetas()]
-
-
-def _sum_sides(g: Geometry2D, values, method: str) -> MassBreakdown:
-    """Breakdown of values over :func:`_escape_regions`, summed over sides."""
-    per_c = values.reshape(-1, len(g.side_thetas())).sum(axis=1)
-    return MassBreakdown.from_contributions(enumerate(per_c), method, g.sides)
-
-
-def mass_numeric(g: Geometry2D, model: ChannelModel) -> MassBreakdown:
-    """Connectivity mass by quadrature over the escape angle.
-
-    The radial integral is done exactly through the incomplete-gamma
-    antiderivative; only the angular integral is numerical (fixed-order
-    Gauss-Legendre, see :func:`region_mass`), so this serves as the oracle
-    for :func:`mass_closed_form`.
+    ``geometry.regions(model)`` says what to integrate and ``method`` how:
+    ``quadrature`` (authoritative; :func:`region_mass`) or ``closed_form``
+    (:func:`region_expansion`, eta = 2 only). Each count's regions are
+    summed, then scaled. The closed form raises where the layout derives
+    none and warns where the layout's caveat says so. Only its total is held
+    to the quadrature; see :func:`region_expansion` on per-c values.
     """
-    return _sum_sides(g, region_mass(_escape_regions(g, model), model), "quadrature")
-
-
-def mass_closed_form(g: Geometry2D, model: ChannelModel) -> MassBreakdown:
-    """Small-angle closed form of the connectivity mass (eta = 2 only):
-    :func:`region_expansion` over the regions of :func:`mass_numeric`. It
-    warns beyond theta = 0.3 rad. Only the total is held to
-    :func:`mass_numeric`; see :func:`region_expansion` on per-c values.
-    """
-    for th in g.side_thetas():
-        if th > 0.3:
-            warnings.warn(f"escape angle {th:.3f} rad is large; "
-                          "closed-form accuracy degrades", stacklevel=2)
-    regions = _escape_regions(g, model)
-    values = region_expansion(regions, model, 2, escape_about(regions))
-    return _sum_sides(g, values, "closed_form")
+    rs = geometry.regions(model)
+    if method == "quadrature":
+        values = region_mass(rs.regions, model, rs.dim)
+    elif method == "closed_form":
+        if rs.about is None:
+            raise ValueError(rs.caveat)
+        if rs.caveat:
+            warnings.warn(rs.caveat, stacklevel=2)
+        values = region_expansion(rs.regions, model, rs.dim, rs.about)
+    else:
+        raise ValueError(f"unknown method: {method!r}")
+    if rs.counts:
+        values = rs.scale * values.reshape(len(rs.counts), -1).sum(axis=1)
+    return MassBreakdown.from_contributions(zip(rs.counts, values), method)
 
 
 def exterior_isolation_prob(mass_total: float, inputs: ClusterInputs) -> float:
@@ -406,8 +388,7 @@ class FullConnectivity:
 
 
 def full_connectivity_first_order(g: Geometry2D, model: ChannelModel,
-                                  inputs: ClusterInputs,
-                                  mass: Optional[MassBreakdown] = None) -> FullConnectivity:
+                                  inputs: ClusterInputs) -> FullConnectivity:
     """First-order estimate of the probability that all nodes connect.
 
     One minus the external-node isolation probability, minus the interior
@@ -417,9 +398,7 @@ def full_connectivity_first_order(g: Geometry2D, model: ChannelModel,
     low density. A term that is not finite raises ``ValueError`` instead:
     clamping it would report a probability the terms do not support.
     """
-    if mass is None:
-        mass = mass_numeric(g, model)
-    ext = exterior_isolation_prob(mass.total, inputs)
+    ext = exterior_isolation_prob(mass(g, model).total, inputs)
     first = internal_isolation_first_term(g, model, inputs)
     bridge = internal_isolation_bridge_term(g, model, inputs)
     for name, term in (("exterior isolation", ext), ("first interior term", first),

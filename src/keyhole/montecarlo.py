@@ -19,10 +19,8 @@ import numpy as np
 
 from . import _kernels
 from .channel import ChannelModel, pair_connect_prob_exact
-from .geometry2d import Geometry2D
-from .escape3d import Geometry3D
 from .specfun import marcum_q1
-from .transport import TransportGeometry, link_probs_by_count, min_paths
+from .transport import link_probs_by_count, min_paths
 
 LINK_TABLE_POINTS = 1 << 17
 
@@ -44,7 +42,10 @@ class McEstimate:
 
 @dataclass
 class McConfig:
-    scenario: str                      # "escape2d" | "escape3d" | "transport"
+    """One Monte Carlo run. A layout with a node population (a domain
+    measure) takes exactly one of ``rho`` and ``n``. ``scenario`` is optional
+    and, if given, must be ``geometry.scenario``."""
+
     geometry: object
     channel: ChannelModel
     trials: int
@@ -55,30 +56,28 @@ class McConfig:
     c_max: Optional[int] = None
     region0: Optional[Tuple[float, float, float, float]] = None
     region1: Optional[Tuple[float, float, float, float]] = None
+    scenario: Optional[str] = None
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if self.scenario not in ("escape2d", "escape3d", "transport"):
-            raise ValueError(f"unknown scenario: {self.scenario!r}")
+        if self.scenario is not None and self.scenario != self.geometry.scenario:
+            raise ValueError(f"scenario {self.scenario!r} disagrees with its geometry, "
+                             f"a {self.geometry.scenario} layout")
         if self.event not in _kernels.EVENTS:
             raise ValueError(f"unknown event: {self.event!r}")
-        if self.scenario != "transport":
-            if (self.rho is None) == (self.n is None):
-                raise ValueError("give exactly one of rho and n")
+        if self.geometry.domain_measure() is not None and (self.rho is None) == (self.n is None):
+            raise ValueError("give exactly one of rho and n")
 
     def node_count(self) -> int:
         if self.n is not None:
             return self.n
-        return int(round(self.rho * self.domain_measure()))
+        return int(round(self.rho * self.geometry.domain_measure()))
 
-    def domain_measure(self) -> float:
-        g = self.geometry
-        if self.scenario == "escape2d":
-            return g.w * g.L
-        if self.scenario == "escape3d":
-            return g.w * g.L * g.L
-        raise ValueError("transport runs have no single domain measure")
+    def count_limit(self) -> int:
+        """Highest reflection count simulated: ``c_max`` if set, else the
+        channel's ``C``, and never above ``C``."""
+        return min(self.channel.C if self.c_max is None else self.c_max, self.channel.C)
 
 
 def link_probability_table(model: ChannelModel) -> Tuple[np.ndarray, float]:
@@ -103,25 +102,11 @@ def _escape_counts(cfg: McConfig) -> int:
     "full") holds."""
     model = cfg.channel
     g = cfg.geometry
-    c_max = cfg.c_max if cfg.c_max is not None else model.C
-    c_max = min(c_max, model.C)
+    c_max = cfg.count_limit()
     n = cfg.node_count()
     tab, inv_step = link_probability_table(model)
     b_coeffs = np.array([model.b_coefficient(c) for c in range(c_max + 1)])
-    if cfg.scenario == "escape2d":
-        node0 = (g.x0, g.y0)
-        cone_tan = g.cone_tan
-        depth = g.abs_y0
-        tan_max = max(math.tan(th) for th in g.side_thetas())
-    else:
-        if not g.is_on_axis():
-            raise NotImplementedError("3-D trials assume a node on the gap axis")
-        node0 = (g.x0, g.y0, g.z0)
-        depth = g.abs_z0
-        tan_max = math.tan(g.theta())
-
-        def cone_tan(rad):
-            return tan_max
+    node0, cone_tan, depth, tan_max = g.mc_setup()
     reach = _kernels.cone_reach(g.w, depth, tan_max, c_max)
     # infinite coefficients (alpha = 0) map far beyond the table, giving H = 0
     b_coeffs = np.where(np.isinf(b_coeffs), 1e9, b_coeffs)
@@ -164,10 +149,9 @@ def run_transport(cfg: McConfig) -> TransportEstimate:
     runs, so the two estimates differ only by sampling and quadrature error.
     Trials are also stratified by that minimal reflection count.
     """
-    tg: TransportGeometry = cfg.geometry
+    tg = cfg.geometry
     model = cfg.channel
-    c_max = cfg.c_max if cfg.c_max is not None else model.C
-    c_max = min(c_max, model.C)
+    c_max = cfg.count_limit()
 
     region0 = cfg.region0 or (tg.node0[0], tg.node0[0], tg.node0[1], tg.node0[1])
     region1 = cfg.region1 or (tg.node1[0], tg.node1[0], tg.node1[1], tg.node1[1])
@@ -241,19 +225,9 @@ def trace_ray(geometry, origin: Sequence[float], direction: Sequence[float],
         raise ValueError("direction must be non-zero")
     d = d / norm
 
-    if isinstance(geometry, Geometry2D):
-        axis = 1
-
-        def in_gap(p):
-            return geometry.gap_left <= p[0] <= geometry.gap_right
-    elif isinstance(geometry, Geometry3D):
-        axis = 2
-
-        def in_gap(p):
-            gx, gy = geometry.gap_center
-            return math.hypot(p[0] - gx, p[1] - gy) <= geometry.gap_radius
-    else:
-        raise TypeError("trace_ray needs a Geometry2D or Geometry3D")
+    if not hasattr(geometry, "in_gap"):
+        raise ValueError(f"{type(geometry).__name__} has no tracer")
+    axis, in_gap = geometry.axis, geometry.in_gap
     if origin.shape != (axis + 1,) or d.shape != (axis + 1,):
         raise ValueError(f"origin and direction need {axis + 1} coordinates each")
 

@@ -4,19 +4,21 @@ With gaps on opposite walls a signal needs an even number of reflections to
 cross; with both gaps on the same wall it needs an odd number. Masses are
 integrals of the pair-connection surrogate over the reachable region beyond
 the receiving gap, per reflection count of the admissible parity.
+``TransportGeometry`` answers the layout questions of ``geometry2d`` but has
+no node population, escape trials or tracer.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, ClassVar, Optional, Tuple
 
 import numpy as np
 
 from .channel import ChannelModel, pair_connect_prob_exact
-from .geometry2d import ReflectionRegion
-from .mass2d import MassBreakdown, region_expansion, region_mass
+from .geometry2d import ReflectionRegion, RegionSet
 
 
 @dataclass(frozen=True)
@@ -28,6 +30,9 @@ class TransportGeometry:
     offset to the left of node 0. Case ``same_side``: both gaps on the lower
     wall, receiver gap [x_l3, x_l4] to the right, node 1 below it.
     """
+
+    scenario: ClassVar[str] = "transport"
+    sweep_parameters: ClassVar[Tuple[str, ...]] = ("eps", "w", "y0")
 
     w: float
     L: float
@@ -117,6 +122,38 @@ class TransportGeometry:
         lo, hi = self.receiving_gap
         return lo <= self.node0[0] <= hi
 
+    def regions(self, model) -> RegionSet:
+        """The receiving region of each count of ``counts(model.C)``; the
+        closed form expands both bounds about the midpoint of the window."""
+        counts = tuple(self.counts(model.C))
+        regions = tuple(receiving_region(self, c) for c in counts)
+        mids = (0.5 * (reg.phi_min + reg.phi_max) for reg in regions)
+        return RegionSet(regions, 2, counts, 1.0, tuple((m, m) for m in mids))
+
+    def domain_measure(self) -> None:
+        """None: a transport run places its two nodes and draws no population."""
+        return None
+
+    def swept(self, param: str, value: float) -> "TransportGeometry":
+        """This layout at one sweep point. ``eps`` resizes both gaps from
+        their left edges and recentres the nodes on them, ``y0`` moves node 0,
+        and ``w`` keeps a node above the upper wall at its height above it."""
+        x0, y0 = self.node0
+        x1, y1 = self.node1
+        if param == "eps":
+            lo = self.receiving_gap[0]
+            far_edge = "x_u2" if self.case == "opposite" else "x_l4"
+            return dataclasses.replace(
+                self, x_l2=self.x_l1 + value, node0=(self.x_l1 + value / 2.0, y0),
+                node1=(lo + value / 2.0, y1), **{far_edge: lo + value})
+        if param == "y0":
+            return dataclasses.replace(self, node0=(x0, value))
+        if param == "w":
+            if self.case == "opposite":
+                y1 = value + (y1 - self.w)
+            return dataclasses.replace(self, w=value, node1=(x1, y1))
+        raise ValueError(f"a {self.scenario} layout has no sweep parameter {param!r}")
+
 
 def receiving_region(tg: TransportGeometry, c: int) -> ReflectionRegion:
     """Points beyond the receiving gap that rays from node 0 reach through
@@ -141,29 +178,6 @@ def receiving_region(tg: TransportGeometry, c: int) -> ReflectionRegion:
     # inner: the receiving wall's image; outer: the vertical through the far edge
     return ReflectionRegion(c=c, phi_min=phi_min, phi_max=phi_max,
                             inner=(depth, 1.0, 0.0), outer=(far, 0.0, 1.0))
-
-
-def transport_mass(tg: TransportGeometry, model: ChannelModel,
-                   method: str = "quadrature") -> MassBreakdown:
-    """Mass of the receiving region, over the counts ``tg.counts(model.C)``.
-
-    ``method`` selects the evaluation route: ``quadrature`` (authoritative;
-    :func:`mass2d.region_mass`, exact in r and Gauss-Legendre in angle) or
-    ``expansion`` (:func:`mass2d.region_expansion`, both bounds about the
-    midpoint of each window).
-    """
-    if method not in ("quadrature", "expansion"):
-        raise ValueError(f"unknown method: {method!r}")
-    cs = tg.counts(model.C)
-    regions = [receiving_region(tg, c) for c in cs]
-    if method == "quadrature":
-        values = region_mass(regions, model)
-    else:
-        # both bounds about the midpoint of the receiving window
-        mids = [0.5 * (reg.phi_min + reg.phi_max) for reg in regions]
-        values = region_expansion(regions, model, 2, [(m, m) for m in mids])
-    tag = "quadrature" if method == "quadrature" else "closed_form"
-    return MassBreakdown.from_contributions(zip(cs, values), tag, "directed")
 
 
 def min_paths(tg: TransportGeometry, x0, y0, x1, y1,

@@ -18,10 +18,11 @@ def test_preset_rows_are_valid_without_mc(name, tmp_path):
 
 def test_transport_w_sweep_keeps_node1_above_upper_wall(tmp_path):
     cfg = presets.get_preset("fig13")
+    geometry = cli._parse_geometry(cfg)
     for w in cfg["sweep"]["values"]:
-        point = cli._apply_sweep(cfg, "w", w)
-        assert point["geometry"]["w"] == w
-        assert point["geometry"]["node1"][1] == w + 2.0
+        point = geometry.swept("w", w)
+        assert point.w == w
+        assert point.node1[1] == w + 2.0
     rows, _ = cli.run_experiment(cfg, tmp_path / "fig13.csv")
     # the base width is pinned to independent oracles: the expansion to a
     # 40-digit mpmath evaluation of the same regions, and the Gauss-Legendre
@@ -50,8 +51,13 @@ def test_fit_marcum_prints_fit_and_writes_no_file(tmp_path, monkeypatch, capsys)
     ("fig13", ["15", "-2"]),            # transport has no tracer
     ("fig9", ["50", "-2"]),             # 3-D needs three coordinates
     ("fig4", ["50", "50", "-2"]),       # 2-D needs two
-], ids=["transport", "fig9-2d-origin", "fig4-3d-origin"])
-def test_trace_rejects_bad_input(geometry, origin, capsys):
+    ({"scenario": "escape2d", "geometry": {"w": 20}}, ["50", "-2"]),
+], ids=["transport", "fig9-2d-origin", "fig4-3d-origin", "missing-geometry-keys"])
+def test_trace_rejects_bad_input(geometry, origin, tmp_path, capsys):
+    if isinstance(geometry, dict):
+        path = tmp_path / "geometry.json"
+        path.write_text(json.dumps(geometry))
+        geometry = str(path)
     argv = ["trace", "--geometry", geometry, "--origin", *origin, "--angle", "0.01"]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("config error:")
@@ -77,8 +83,8 @@ def same_side_config():
 
 def test_same_side_eps_sweep_resizes_receiving_gap(tmp_path):
     cfg = same_side_config()
-    point = cli._apply_sweep(cfg, "eps", 0.5)["geometry"]
-    assert (point["x_l2"], point["x_l4"], point["node0"][0], point["node1"][0]) == (
+    point = cli._parse_geometry(cfg).swept("eps", 0.5)
+    assert (point.x_l2, point.x_l4, point.node0[0], point.node1[0]) == (
         14.5, 17.5, 14.25, 17.25)
     rows, _ = cli.run_experiment(cfg, tmp_path / "same_side.csv")
     assert [r["status"] for r in rows] == ["ok", "ok"]
@@ -100,3 +106,40 @@ def test_sweep_parameter_the_scenario_lacks_is_rejected(name, param, tmp_path, c
     assert cli.main(["run", str(path), "--output", str(tmp_path / "out.csv")]) == 2
     assert capsys.readouterr().err.startswith("config error: sweep.parameter")
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    ("missing", "config error: geometry:"), ("unknown", "config error: geometry:"),
+    ("channel", "config error: config key missing: K"),
+    ("mc", "config error: config key missing: trials"),
+], ids=["missing", "unknown", "channel", "mc"])
+def test_bad_config_key_is_a_config_error_before_any_row(edit, message, tmp_path, capsys):
+    cfg = presets.get_preset("fig5")
+    if edit == "missing":
+        del cfg["geometry"]["x0"]
+    elif edit == "unknown":
+        cfg["geometry"]["z0"] = -2.0
+    elif edit == "channel":
+        del cfg["channel"]["K"]
+    else:
+        cfg["mc"] = {"enabled": True, "seed": 1}
+    path = tmp_path / "fig5.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(path), "--output", str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_geometry_invalid_at_one_sweep_value_is_an_error_row(tmp_path):
+    cfg = presets.get_preset("fig5")
+    cfg["sweep"]["values"] = [-1.0, 0.5]     # node 0 above the wall at y0 = 0.5
+    rows, _ = cli.run_experiment(cfg, tmp_path / "fig5.csv")
+    assert rows[0]["status"] == "ok"
+    assert rows[1]["status"].startswith("error: the external node must sit below")
+
+
+@pytest.mark.parametrize("name", ["fig4", "fig9", "fig13"])
+def test_layout_rejects_a_parameter_it_does_not_read(name):
+    geometry = cli._parse_geometry(presets.get_preset(name))
+    with pytest.raises(ValueError, match="no sweep parameter 'L'"):
+        geometry.swept("L", 50.0)

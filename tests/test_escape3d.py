@@ -1,12 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from keyhole.channel import make_channel_model
-from keyhole.escape3d import (Geometry3D, mass3d_closed_form, mass3d_numeric,
-                              region_bounds_3d, volume_ratio_first_reflection)
+from keyhole.escape3d import Geometry3D, region_bounds_3d, volume_ratio_first_reflection
 from keyhole.geometry2d import y_image
+from keyhole.mass2d import mass
 
 
 def make_geometry(**kw):
@@ -53,13 +54,13 @@ def test_region_bounds_azimuth_independent_on_axis():
 
 def test_mass_vanishes_with_gap(model):
     g = make_geometry(gap_radius=1e-9)
-    assert mass3d_numeric(g, model).total == pytest.approx(0.0, abs=1e-9)
+    assert mass(g, model).total == pytest.approx(0.0, abs=1e-9)
 
 
 def test_alpha_zero_direct_only():
     g = make_geometry()
     m = make_channel_model(K=4.0, beta=1e-3, alpha=0.0, C=6)
-    br = mass3d_numeric(g, m)
+    br = mass(g, m)
     assert br.per_c[0][1] > 0.0
     assert all(v == 0.0 for c, v in br.per_c if c >= 1)
 
@@ -68,8 +69,8 @@ def test_alpha_zero_direct_only():
 def test_closed_form_matches_quadrature(alpha):
     g = make_geometry()
     m = make_channel_model(K=4.0, beta=1e-3, alpha=alpha, C=6)
-    quad = mass3d_numeric(g, m).total
-    closed = mass3d_closed_form(g, m).total
+    quad = mass(g, m).total
+    closed = mass(g, m, "closed_form").total
     assert abs(closed - quad) / quad <= 0.10
 
 
@@ -80,8 +81,8 @@ def test_closed_form_direct_region_converges(model):
     gaps = []
     for radius in (0.4, 0.2, 0.1, 0.05, 0.025):
         g = make_geometry(gap_radius=radius)
-        closed = mass3d_closed_form(g, model).per_c[0][1]
-        gaps.append(abs(closed / mass3d_numeric(g, model).per_c[0][1] - 1.0))
+        closed = mass(g, model, "closed_form").per_c[0][1]
+        gaps.append(abs(closed / mass(g, model).per_c[0][1] - 1.0))
     assert all(a >= 10.0 * b for a, b in zip(gaps, gaps[1:])), gaps
 
 
@@ -91,7 +92,7 @@ def test_closed_form_reflected_term_pinned():
     # hand, such as (2 - theta^2) cos(theta) + 2 theta sin(theta) - 2, lose
     # six digits to cancellation here
     m = make_channel_model(K=4.0, beta=1e-3, alpha=1.0, C=6)
-    got = mass3d_closed_form(make_geometry(), m).per_c[1][1]
+    got = mass(make_geometry(), m, "closed_form").per_c[1][1]
     assert got == pytest.approx(42.856626049381590042, rel=1e-13, abs=0.0)
 
 
@@ -99,36 +100,39 @@ def test_closed_form_direct_term_positive(model):
     # the direct term must stay positive across escape angles
     for eps in (0.05, 0.2, 0.8, 2.0):
         g = make_geometry(gap_radius=eps)
-        assert mass3d_closed_form(g, model).per_c[0][1] > 0.0
+        assert mass(g, model, "closed_form").per_c[0][1] > 0.0
 
 
 def test_truncation_at_zero_reflections(model):
     g = make_geometry()
     m0 = make_channel_model(K=4.0, beta=1e-3, alpha=0.75, C=0)
-    only_direct = mass3d_closed_form(g, m0)
-    full = mass3d_closed_form(g, model)
+    only_direct = mass(g, m0, "closed_form")
+    full = mass(g, model, "closed_form")
     assert only_direct.total == pytest.approx(full.per_c[0][1], rel=1e-12)
 
 
 def test_axisymmetric_shortcut(model):
+    # a node a hair off the axis takes the azimuthal trapezoid rule
     g = make_geometry()
-    fast = mass3d_numeric(g, model)
-    nested = mass3d_numeric(g, model, azimuthal=True)
+    fast = mass(g, model)
+    near = dataclasses.replace(g, x0=g.x0 + 1e-6)
+    assert not near.is_on_axis()
+    nested = mass(near, model)
     assert nested.total == pytest.approx(fast.total, abs=1e-8 * max(1.0, fast.total))
 
 
 def test_mass_monotone_in_gap_and_height(model):
-    totals_eps = [mass3d_numeric(make_geometry(gap_radius=e), model).total
+    totals_eps = [mass(make_geometry(gap_radius=e), model).total
                   for e in (0.05, 0.1, 0.2, 0.4)]
     assert all(a < b for a, b in zip(totals_eps, totals_eps[1:]))
-    totals_w = [mass3d_numeric(make_geometry(w=w), model).total
+    totals_w = [mass(make_geometry(w=w), model).total
                 for w in (10.0, 15.0, 20.0)]
     assert all(a < b for a, b in zip(totals_w, totals_w[1:]))
 
 
 def test_per_c_decay(model):
     g = make_geometry()
-    br = mass3d_numeric(g, make_channel_model(K=4.0, beta=1e-3, alpha=0.75, C=6))
+    br = mass(g, make_channel_model(K=4.0, beta=1e-3, alpha=0.75, C=6))
     values = [v for _, v in br.per_c if v > 1e-12 * br.total]
     assert all(a > b for a, b in zip(values, values[1:]))
     assert all(v >= 0.0 for _, v in br.per_c)
@@ -166,7 +170,7 @@ def test_off_axis_theta_varies():
     g = make_geometry(x0=50.05)
     assert g.theta(0.0) < g.theta(math.pi)
     with pytest.raises(ValueError):
-        mass3d_closed_form(g, make_channel_model(K=4.0, beta=1e-3, alpha=0.75, C=6))
+        mass(g, make_channel_model(K=4.0, beta=1e-3, alpha=0.75, C=6), "closed_form")
 
 
 def monte_carlo_mass(g, model, n, seed):
@@ -204,7 +208,7 @@ def test_off_axis_mass_matches_monte_carlo():
     m = make_channel_model(K=4.0, beta=1e-3, alpha=0.75, C=2)
     g = make_geometry(w=10.0, gap_radius=1.0, x0=50.6)
     est, se = monte_carlo_mass(g, m, 400_000, seed=3)
-    mass = mass3d_numeric(g, m, azimuthal=True).total
-    assert abs(est - mass) <= 4.0 * se, (est, se, mass)
-    on_axis = mass3d_numeric(make_geometry(w=10.0, gap_radius=1.0), m).total
+    got = mass(g, m).total
+    assert abs(est - got) <= 4.0 * se, (est, se, got)
+    on_axis = mass(make_geometry(w=10.0, gap_radius=1.0), m).total
     assert abs(est - on_axis) > 10.0 * se

@@ -5,8 +5,7 @@ import pytest
 from scipy import integrate
 
 from keyhole.geometry2d import (Geometry2D, area_ratio_first_reflection,
-                                classify_point, max_escape_angle,
-                                region_bounds, y_image)
+                                classify_point, region_bounds, y_image)
 from keyhole.montecarlo import trace_ray
 
 
@@ -18,17 +17,17 @@ def make_geometry(**kw):
 
 def test_max_escape_angle_reference():
     g = make_geometry()
-    assert max_escape_angle(g) == pytest.approx(0.0749, abs=1e-4)
+    assert g.theta() == pytest.approx(0.0749, abs=1e-4)
 
 
 def test_max_escape_angle_small_gap_limit():
     g = make_geometry(eps=1e-6)
-    assert max_escape_angle(g) == pytest.approx(0.0, abs=1e-6)
+    assert g.theta() == pytest.approx(0.0, abs=1e-6)
 
 
 def test_max_escape_angle_wide_gap():
     g = make_geometry(eps=4.0)
-    assert max_escape_angle(g) == pytest.approx(math.atan(1.0))
+    assert g.theta() == pytest.approx(math.atan(1.0))
 
 
 def test_region_bounds_direct():

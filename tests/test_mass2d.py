@@ -7,17 +7,17 @@ from scipy import integrate
 
 from keyhole import _kernels, mass2d, specfun
 from keyhole.channel import make_channel_model
-from keyhole.escape3d import Geometry3D, mass3d_numeric, region_bounds_3d
+from keyhole.escape3d import Geometry3D, region_bounds_3d
 from keyhole.geometry2d import Geometry2D, ReflectionRegion, region_bounds, y_image
-from keyhole.mass2d import (ClusterInputs, MassBreakdown,
+from keyhole.mass2d import (ClusterInputs,
                             exterior_isolation_prob,
                             full_connectivity_first_order,
                             internal_isolation_bridge_term,
-                            internal_isolation_first_term, mass_closed_form,
-                            mass_numeric, multi_external_bridge_prob,
+                            internal_isolation_first_term, mass,
+                            multi_external_bridge_prob,
                             region_mass)
 from keyhole.specfun import integrate_adaptive, lower_inc_gamma
-from keyhole.transport import TransportGeometry, receiving_region, transport_mass
+from keyhole.transport import TransportGeometry, receiving_region
 
 
 def make_geometry(**kw):
@@ -33,19 +33,19 @@ def model():
 
 def test_mass_vanishes_with_gap(model):
     g = make_geometry(eps=1e-9)
-    assert mass_numeric(g, model).total == pytest.approx(0.0, abs=1e-6)
+    assert mass(g, model).total == pytest.approx(0.0, abs=1e-6)
 
 
 def test_alpha_zero_leaves_direct_term_only():
     g = make_geometry()
     m = make_channel_model(K=4.0, beta=1e-3, alpha=0.0, C=6)
-    br = mass_numeric(g, m)
+    br = mass(g, m)
     assert br.per_c[0][1] > 0.0
     assert all(v == 0.0 for c, v in br.per_c if c >= 1)
 
 
 def test_breakdown_total_consistency(model):
-    br = mass_numeric(make_geometry(), model)
+    br = mass(make_geometry(), model)
     assert br.total == pytest.approx(sum(v for _, v in br.per_c), rel=1e-12)
     assert all(v >= 0.0 for _, v in br.per_c)
 
@@ -53,8 +53,8 @@ def test_breakdown_total_consistency(model):
 def test_left_only_is_half_of_both(model):
     g2 = make_geometry()
     g1 = make_geometry(sides="left_only")
-    assert mass_numeric(g1, model).total == pytest.approx(
-        0.5 * mass_numeric(g2, model).total, rel=1e-9)
+    assert mass(g1, model).total == pytest.approx(
+        0.5 * mass(g2, model).total, rel=1e-9)
     # the bridge term halves too, on the small box where it is not negligible
     both, left = (make_geometry(**SMALL_BOX, sides=sides) for sides in ("both", "left_only"))
     inputs = ClusterInputs(rho=0.05, V=both.w * both.L)
@@ -72,7 +72,7 @@ def test_closed_form_direct_term_structure(model):
                        - lower_inc_gamma(s, lam * 2.0 ** mu)) / (mu * lam ** s)
     cubic = (theta ** 3 / 6.0) * (22.0 ** 2 * math.exp(-lam * 22.0 ** mu)
                                   - 2.0 ** 2 * math.exp(-lam * 2.0 ** mu))
-    got = mass_closed_form(g, model).per_c[0][1]
+    got = mass(g, model, "closed_form").per_c[0][1]
     assert got == pytest.approx(leading + cubic, rel=1e-12)
 
 
@@ -83,8 +83,8 @@ def test_closed_form_direct_region_converges(model):
     gaps = []
     for eps in (0.8, 0.4, 0.2, 0.1, 0.05):
         g = make_geometry(eps=eps, sides="left_only")
-        closed = mass_closed_form(g, model).per_c[0][1]
-        gaps.append(abs(closed / mass_numeric(g, model).per_c[0][1] - 1.0))
+        closed = mass(g, model, "closed_form").per_c[0][1]
+        gaps.append(abs(closed / mass(g, model).per_c[0][1] - 1.0))
     assert all(a >= 10.0 * b for a, b in zip(gaps, gaps[1:])), gaps
 
 
@@ -92,8 +92,8 @@ def test_truncation_drops_reflected_mass():
     g = make_geometry()
     m6 = make_channel_model(K=4.0, beta=1e-3, alpha=1.0, C=6)
     m0 = make_channel_model(K=4.0, beta=1e-3, alpha=1.0, C=0)
-    full = mass_numeric(g, m6)
-    direct = mass_numeric(g, m0)
+    full = mass(g, m6)
+    direct = mass(g, m0)
     assert direct.total == pytest.approx(full.per_c[0][1], rel=1e-9)
     assert full.total > direct.total
 
@@ -102,45 +102,50 @@ def test_truncation_drops_reflected_mass():
 def test_closed_form_matches_quadrature(alpha):
     g = make_geometry()
     m = make_channel_model(K=4.0, beta=1e-3, alpha=alpha, C=6)
-    quad = mass_numeric(g, m).total
-    closed = mass_closed_form(g, m).total
+    quad = mass(g, m).total
+    closed = mass(g, m, "closed_form").total
     assert abs(closed - quad) / quad <= 0.05
+
+
+def test_mass_rejects_unknown_method(model):
+    with pytest.raises(ValueError, match="unknown method"):
+        mass(make_geometry(), model, "expansion")
 
 
 def test_closed_form_warns_at_large_theta(model):
     g = make_geometry(eps=15.0, y0=-0.5, gap_center_x=50.0)
     with pytest.warns(UserWarning):
-        mass_closed_form(g, model)
+        mass(g, model, "closed_form")
 
 
 def test_mass_monotonicity_in_parameters(model):
-    totals_eps = [mass_numeric(make_geometry(eps=e), model).total
+    totals_eps = [mass(make_geometry(eps=e), model).total
                   for e in (0.1, 0.2, 0.3, 0.4, 0.5)]
     assert all(a < b for a, b in zip(totals_eps, totals_eps[1:]))
 
-    totals_alpha = [mass_numeric(make_geometry(),
+    totals_alpha = [mass(make_geometry(),
                                  make_channel_model(K=4.0, beta=1e-3, alpha=a, C=6)).total
                     for a in (0.5, 0.7, 0.9)]
     assert all(a < b for a, b in zip(totals_alpha, totals_alpha[1:]))
 
-    totals_w = [mass_numeric(make_geometry(w=w), model).total
+    totals_w = [mass(make_geometry(w=w), model).total
                 for w in (10.0, 15.0, 20.0)]
     assert all(a < b for a, b in zip(totals_w, totals_w[1:]))
 
-    totals_y0 = [mass_numeric(make_geometry(y0=y), model).total
+    totals_y0 = [mass(make_geometry(y0=y), model).total
                  for y in (-4.0, -2.0, -1.0, -0.5)]
     assert all(a < b for a, b in zip(totals_y0, totals_y0[1:]))
 
 
 def test_reflection_contributions_decay(model):
     g = make_geometry(w=15.0)
-    br = mass_numeric(g, model)   # alpha = 0.75
+    br = mass(g, model)   # alpha = 0.75
     values = [v for _, v in br.per_c if v > 1e-12 * br.total]
     assert all(a > b for a, b in zip(values, values[1:]))
     # the tail stays below 1% across the whole reflectivity sweep
     for alpha in (0.5, 0.75, 1.0):
         m = make_channel_model(K=4.0, beta=1e-3, alpha=alpha, C=6)
-        br = mass_numeric(g, m)
+        br = mass(g, m)
         tail = sum(v for c, v in br.per_c if c >= 3)
         assert tail / br.total < 0.01
 
@@ -156,7 +161,7 @@ def test_isolation_log_linear_in_gap(model):
     rho = 0.1
     eps_grid = np.linspace(0.1, 0.5, 9)
     logs = [math.log(exterior_isolation_prob(
-        mass_numeric(make_geometry(eps=e), model).total,
+        mass(make_geometry(eps=e), model).total,
         ClusterInputs(rho=rho, V=2000.0))) for e in eps_grid]
     slope, intercept = np.polyfit(eps_grid, logs, 1)
     pred = slope * eps_grid + intercept
@@ -229,7 +234,7 @@ def test_internal_bridge_trivial_limits(model):
 def test_internal_terms_negligible_at_reference(model):
     g = make_geometry()
     inputs = ClusterInputs(rho=0.1, V=2000.0)
-    ext = exterior_isolation_prob(mass_numeric(g, model).total, inputs)
+    ext = exterior_isolation_prob(mass(g, model).total, inputs)
     first = internal_isolation_first_term(g, model, inputs)
     bridge = internal_isolation_bridge_term(g, model, inputs)
     assert first <= ext / 10.0
@@ -471,12 +476,11 @@ def test_mass_paths_do_not_use_adaptive_rule(monkeypatch, model):
     on_axis = axis_geometry_3d()
     off_axis = Geometry3D(w=20.0, L=100.0, gap_radius=0.1, gap_center=(50.0, 50.0),
                           x0=50.05, y0=50.0, z0=-2.0)
-    assert mass_numeric(make_geometry(), model).total > 0.0
-    assert mass3d_numeric(on_axis, model).total > 0.0
-    assert mass3d_numeric(on_axis, model, azimuthal=True).total > 0.0
-    assert mass3d_numeric(off_axis, model).total > 0.0
-    assert transport_mass(opposite_gaps(), model).total > 0.0
-    assert transport_mass(same_side_gaps(), model).total > 0.0
+    assert mass(make_geometry(), model).total > 0.0
+    assert mass(on_axis, model).total > 0.0
+    assert mass(off_axis, model).total > 0.0
+    assert mass(opposite_gaps(), model).total > 0.0
+    assert mass(same_side_gaps(), model).total > 0.0
     fc = full_connectivity_first_order(make_geometry(), model,
                                        ClusterInputs(rho=0.1, V=2000.0))
     assert 0.0 < fc.p_fc < 1.0

@@ -7,9 +7,9 @@ from scipy.sparse import csgraph
 
 from keyhole import _kernels, cli, montecarlo, presets
 from keyhole.channel import make_channel_model
-from keyhole.escape3d import Geometry3D, mass3d_numeric
+from keyhole.escape3d import Geometry3D
 from keyhole.geometry2d import Geometry2D
-from keyhole.mass2d import mass_numeric
+from keyhole.mass2d import mass
 from keyhole.montecarlo import McConfig, link_probability_table, run_escape_isolation
 
 
@@ -18,7 +18,7 @@ def preset_point(name, alpha):
     ch = cfg["channel"]
     model = make_channel_model(K=ch["K"], beta=ch["beta"], eta=ch["eta"],
                                alpha=alpha, C=ch["C"])
-    return cfg, cli._build_geometry(cfg), model
+    return cfg, cli._parse_geometry(cfg), model
 
 
 def split_interior_config(trials=200):
@@ -27,7 +27,7 @@ def split_interior_config(trials=200):
     geometry = Geometry2D(w=20.0, L=100.0, eps=2.0, gap_center_x=50.0,
                           x0=50.0, y0=-1.0)
     model = make_channel_model(K=4.0, beta=0.01, alpha=0.75, C=6)
-    return McConfig("escape2d", geometry, model, trials=trials, seed=13, n=80)
+    return McConfig(geometry, model, trials=trials, seed=13, n=80)
 
 
 def event_counts(cfg):
@@ -38,7 +38,7 @@ def event_counts(cfg):
 # (isolated, joint, full) counts pin the random streams and the event logic
 def test_escape_counts_pinned_2d_joint():
     _, geometry, model = preset_point("fig4", 0.5)
-    cfg = McConfig("escape2d", geometry, model, trials=60, seed=11, n=60)
+    cfg = McConfig(geometry, model, trials=60, seed=11, n=60)
     assert event_counts(cfg) == (19, 19, 41)
 
 
@@ -48,7 +48,7 @@ def test_escape_counts_pinned_split_interior():
 
 def test_escape_counts_pinned_3d_isolated():
     _, geometry, model = preset_point("fig9", 0.75)
-    cfg = McConfig("escape3d", geometry, model, trials=60, seed=12, n=2000,
+    cfg = McConfig(geometry, model, trials=60, seed=12, n=2000,
                    event="isolated_only")
     assert montecarlo._escape_counts(cfg) == 35
 
@@ -59,17 +59,17 @@ def reach_layouts():
     # cap below C and a wide 3-D gap
     _, fig4, fig4_model = preset_point("fig4", 0.5)
     wide_model = make_channel_model(K=4.0, beta=0.01, alpha=0.75, C=6)
-    yield McConfig("escape2d", dataclasses.replace(fig4, sides="left_only"),
+    yield McConfig(dataclasses.replace(fig4, sides="left_only"),
                    fig4_model, trials=60, seed=21, n=60)
-    yield McConfig("escape2d", dataclasses.replace(fig4, x0=fig4.gap_left + 0.01),
+    yield McConfig(dataclasses.replace(fig4, x0=fig4.gap_left + 0.01),
                    fig4_model, trials=60, seed=22, n=60)
-    yield McConfig("escape2d", Geometry2D(w=10.0, L=100.0, eps=2.0, gap_center_x=50.0,
+    yield McConfig(Geometry2D(w=10.0, L=100.0, eps=2.0, gap_center_x=50.0,
                                           x0=50.0, y0=-1.5),
                    wide_model, trials=100, seed=23, n=40)
-    yield McConfig("escape2d", Geometry2D(w=20.0, L=100.0, eps=2.0, gap_center_x=50.0,
+    yield McConfig(Geometry2D(w=20.0, L=100.0, eps=2.0, gap_center_x=50.0,
                                           x0=50.0, y0=-1.0),
                    wide_model, trials=200, seed=24, n=80, c_max=2)
-    yield McConfig("escape3d", Geometry3D(w=10.0, L=100.0, gap_radius=1.0,
+    yield McConfig(Geometry3D(w=10.0, L=100.0, gap_radius=1.0,
                                           gap_center=(50.0, 50.0), x0=50.0, y0=50.0,
                                           z0=-2.0),
                    make_channel_model(K=4.0, beta=1e-2, alpha=0.75, C=6),
@@ -121,6 +121,17 @@ def test_pair_graph_built_only_where_the_event_needs_it(monkeypatch):
     assert len(calls) == iso + cfg.trials
 
 
+def test_scenario_must_name_the_geometry():
+    # the slab fills w L^2: at fig9's rho it holds 16,000 nodes, where the
+    # strip's w L would give 160
+    _, slab, model = preset_point("fig9", 0.5)
+    assert McConfig(slab, model, trials=1, seed=1, rho=0.08).node_count() == 16000
+    assert McConfig(slab, model, trials=1, seed=1, rho=0.08,
+                    scenario="escape3d").node_count() == 16000
+    with pytest.raises(ValueError, match="disagrees"):
+        McConfig(slab, model, trials=1, seed=1, rho=0.08, scenario="escape2d")
+
+
 def test_unknown_event_rejected():
     cfg = split_interior_config(trials=1)
     cfg.event = "partial"            # set past McConfig's own check
@@ -157,33 +168,33 @@ def test_empty_interior_counts_every_event():
     assert event_counts(cfg) == (7, 7, 7)
 
 
-@pytest.mark.parametrize("name, scenario, trials, mass_fn", [
-    ("fig4", "escape2d", 2000, mass_numeric),
-    ("fig9", "escape3d", 1000, mass3d_numeric),
+@pytest.mark.parametrize("name, scenario, trials", [
+    ("fig4", "escape2d", 2000),
+    ("fig9", "escape3d", 1000),
 ])
-def test_isolation_matches_analytic(name, scenario, trials, mass_fn):
+def test_isolation_matches_analytic(name, scenario, trials):
     cfg, geometry, model = preset_point(name, 0.5)
-    p = math.exp(-cfg["rho"] * mass_fn(geometry, model).total)
+    p = math.exp(-cfg["rho"] * mass(geometry, model).total)
     est = run_escape_isolation(McConfig(
-        scenario, geometry, model, trials=trials, seed=cfg["mc"]["seed"],
-        rho=cfg["rho"], event="isolated_only"))
+        geometry, model, trials=trials, seed=cfg["mc"]["seed"],
+        rho=cfg["rho"], event="isolated_only", scenario=scenario))
     assert abs(est.p_hat - p) <= 4.0 * math.sqrt(p * (1.0 - p) / trials)
 
 
-@pytest.mark.parametrize("name, scenario, rho, trials, mass_fn", [
-    ("fig4", "escape2d", 0.1, 4000, mass_numeric),
-    ("fig9", "escape3d", 0.08, 2000, mass3d_numeric),
+@pytest.mark.parametrize("name, scenario, rho, trials", [
+    ("fig4", "escape2d", 0.1, 4000),
+    ("fig9", "escape3d", 0.08, 2000),
 ])
-def test_isolation_matches_analytic_eta3(name, scenario, rho, trials, mass_fn):
+def test_isolation_matches_analytic_eta3(name, scenario, rho, trials):
     # eta = 3: node-0 and pair links take the table at b_c r^(3/2)
     cfg = presets.get_preset(name)
     model = make_channel_model(K=cfg["channel"]["K"], beta=1e-4, eta=3.0,
                                alpha=0.75, C=cfg["channel"]["C"])
-    geometry = cli._build_geometry(cfg)
-    p = math.exp(-rho * mass_fn(geometry, model).total)
-    est = run_escape_isolation(McConfig(scenario, geometry, model, trials=trials,
+    geometry = cli._parse_geometry(cfg)
+    p = math.exp(-rho * mass(geometry, model).total)
+    est = run_escape_isolation(McConfig(geometry, model, trials=trials,
                                         seed=cfg["mc"]["seed"], rho=rho,
-                                        event="isolated_only"))
+                                        event="isolated_only", scenario=scenario))
     assert 0.01 < p < 0.99
     assert abs(est.p_hat - p) <= 4.0 * math.sqrt(p * (1.0 - p) / trials)
 
@@ -194,8 +205,8 @@ def test_left_only_isolation_matches_analytic():
     cfg, geometry, model = preset_point("fig4", 0.5)
     geometry = dataclasses.replace(geometry, sides="left_only")
     rho, trials = 0.05, 3000
-    p = math.exp(-rho * mass_numeric(geometry, model).total)
-    est = run_escape_isolation(McConfig("escape2d", geometry, model, trials=trials,
+    p = math.exp(-rho * mass(geometry, model).total)
+    est = run_escape_isolation(McConfig(geometry, model, trials=trials,
                                         seed=3, rho=rho, event="isolated_only"))
     assert p == pytest.approx(0.4071, abs=1e-4)
     assert abs(est.p_hat - p) <= 4.0 * math.sqrt(p * (1.0 - p) / trials)

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from keyhole.channel import make_channel_model
+from keyhole.mass2d import mass
 from keyhole.transport import (TransportGeometry, averaged_connect_prob,
-                               min_paths, receiving_region, transport_mass)
+                               min_paths, receiving_region)
 
 
 def opposite_geometry(w=10.0, y0=-2.0, gap=0.3, x_l1=15.0, x_u1=14.5):
@@ -140,7 +141,7 @@ def test_mass_case1_empty_when_unreachable(model):
     tg = TransportGeometry(w=10.0, L=100.0, case="opposite", x_l1=15.0,
                            x_l2=15.3, x_u1=16.0, x_u2=16.3,
                            node0=(15.15, -2.0), node1=(16.15, 12.0))
-    assert transport_mass(tg, model).total == 0.0
+    assert mass(tg, model).total == 0.0
 
 
 @pytest.mark.parametrize("tg", [
@@ -151,8 +152,8 @@ def test_mass_case1_empty_when_unreachable(model):
     same_side_geometry(x_l3=17.0, x_l4=19.0, node1=(18.0, -2.0)),
 ], ids=["10.0", "15.0", "20.0", "same_side-23-26", "same_side-19-21", "same_side-17-19"])
 def test_mass_case1_expansion_matches_quadrature(model, tg):
-    quad = transport_mass(tg, model)
-    exp = transport_mass(tg, model, "expansion")
+    quad = mass(tg, model)
+    exp = mass(tg, model, "closed_form")
     assert quad.total > 0.0
     assert abs(exp.total - quad.total) / quad.total <= 0.05
 
@@ -162,33 +163,33 @@ def test_mass_case1_expansion_matches_quadrature(model, tg):
 def test_expansion_rejects_eta_other_than_two(geometry):
     # the expansion is derived for eta = 2; the quadrature takes any eta
     m = make_channel_model(K=4.0, beta=1e-3, eta=3.0, alpha=0.85, C=6)
-    assert math.isfinite(transport_mass(geometry(), m).total)
+    assert math.isfinite(mass(geometry(), m).total)
     with pytest.raises(ValueError, match="eta = 2"):
-        transport_mass(geometry(), m, "expansion")
+        mass(geometry(), m, "closed_form")
 
 
 def test_mass_case1_per_c_decreasing(model):
     for w in (10.0, 15.0, 20.0):
-        br = transport_mass(opposite_geometry(w=w), model)
+        br = mass(opposite_geometry(w=w), model)
         values = [v for _, v in br.per_c if v > 1e-12 * max(br.total, 1e-300)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_mass_case1_monotone_in_gap(model):
-    totals = [transport_mass(opposite_geometry(gap=gap), model).total
+    totals = [mass(opposite_geometry(gap=gap), model).total
               for gap in (0.1, 0.2, 0.3, 0.4, 0.5)]
     assert all(a < b for a, b in zip(totals, totals[1:]))
 
 
 def test_mass_case1_decreases_toward_wall(model):
-    totals = [transport_mass(opposite_geometry(y0=y), model).total
+    totals = [mass(opposite_geometry(y0=y), model).total
               for y in (-3.0, -2.0, -1.0, -0.5)]
     assert all(a > b for a, b in zip(totals, totals[1:]))
 
 
 def test_mass_case2_far_gap_is_zero(model):
     tg = same_side_geometry(x_l3=90.0, x_l4=93.0, node1=(91.5, -2.0))
-    assert transport_mass(tg, model).total == 0.0
+    assert mass(tg, model).total == 0.0
 
 
 def test_mass_case2_mirror_symmetry(model):
@@ -201,13 +202,13 @@ def test_mass_case2_mirror_symmetry(model):
         x_l1=14.0 + shift, x_l2=16.0 + shift,
         x_l3=23.0 + shift, x_l4=26.0 + shift,
         node0=(15.0 + shift, -2.0), node1=(25.0 + shift, -2.0))
-    a = transport_mass(tg, model).total
-    b = transport_mass(flipped, model).total
+    a = mass(tg, model).total
+    b = mass(flipped, model).total
     assert a == pytest.approx(b, rel=1e-9)
 
 
 def test_mass_case2_parity_only_odd(model):
-    br = transport_mass(same_side_geometry(), model)
+    br = mass(same_side_geometry(), model)
     assert all(c % 2 == 1 for c, _ in br.per_c)
 
 
