@@ -2,13 +2,20 @@
 
 Counter-based uniform draws (a splitmix-style integer hash of seed, trial
 and draw index) make every trial a pure function of the configuration, so
-counts do not depend on execution order: a draw is identified by its
-(trial, stream, index), and a kernel that skips a draw it does not need
-leaves every other draw unchanged. :func:`escape_trials` uses this to skip
-the coordinates of nodes beyond the cones' reach and the pair graph in
-trials whose event does not depend on it; its counts are those of a kernel
-that draws everything. ``scipy.sparse`` is imported only where a pair graph
-is built, so this module and the ``"isolated_only"`` event do not load it.
+counts do not depend on execution order or on how trials are grouped: a
+draw is identified by its (trial, stream, index), and a kernel that skips a
+draw it does not need leaves every other draw unchanged.
+
+:func:`escape_trials` runs a point's trials in blocks of whole trials under
+a fixed node budget, one array pass per block, and builds a pair graph per
+trial only where the event needs one. Interior nodes follow one of two
+laws. A Poisson process of intensity ``rho`` is drawn straight into the
+box the cones can reach, with the rest of the domain drawn only for a pair
+graph; by Poisson restriction this is the process over the whole domain.
+An exact count ``n`` places every node over the whole domain, and only the
+nodes within the cones' reach draw their other coordinates.
+``scipy.sparse`` is imported only where a pair graph is built, so this
+module and the ``"isolated_only"`` event do not load it.
 """
 
 from __future__ import annotations
@@ -36,6 +43,13 @@ STREAM_EXTERNAL = 1
 STREAM_PAIRS = 2
 STREAM_NODE1 = 3
 STREAM_LINK = 4
+STREAM_COUNTS = 5      # Poisson node counts: index 0 in the reach box, 1 in the domain
+STREAM_REACH = 6       # Poisson nodes in the reach box
+STREAM_DOMAIN = 7      # Poisson nodes over the domain, kept outside the reach box
+
+# nodes one array pass holds; a block takes whole trials, at least one, so
+# memory stays bounded whatever the trial count
+NODE_BUDGET = 1 << 15
 
 
 def _mix64_np(z: np.ndarray) -> np.ndarray:
@@ -106,98 +120,168 @@ def _table_arg(coeff, r, power):
     return coeff * (r if power == 1.0 else r ** power)
 
 
-def escape_trials(seed, trials, n, dims, node0, cone_tan, b_coeffs, tab,
-                  inv_step, event, reach, power):
+def poisson_counts(u, lam):
+    """Poisson(``lam``) variates by inverse CDF of the uniforms ``u``: the
+    least k with P(X <= k) >= u. ``pdtrik`` inverts the CDF continued to real
+    k; the +-1 fix-up against ``pdtr`` corrects its rounding at the integers."""
+    from scipy.special import pdtr, pdtrik
+
+    k = np.maximum(np.ceil(pdtrik(u, lam)), 0.0)
+    k -= (k > 0.0) & (pdtr(np.maximum(k - 1.0, 0.0), lam) >= u)
+    k += pdtr(k, lam) < u
+    return k.astype(np.int64)
+
+
+def _blocks(counts):
+    """(start, stop) runs of whole trials holding at most ``NODE_BUDGET``
+    nodes, or one trial where it alone holds more."""
+    ends = np.cumsum(counts)
+    start = 0
+    while start < counts.size:
+        done = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, done + NODE_BUDGET, side="right")))
+        yield start, stop
+        start = stop
+
+
+def _nodes(base, stream, count, lo, span):
+    """Coordinates of nodes 0 .. count - 1 of one trial, uniform in the box
+    [lo, lo + span]; coordinate d of node i is draw 4 i + d."""
+    keys = (np.arange(count, dtype=np.uint64)[:, None] * np.uint64(4)
+            + np.arange(len(lo), dtype=np.uint64))
+    return list((lo + span * draws_np(base, stream, keys)).T)
+
+
+def _graph_event(base, coords, link0, event, tab, inv_step, b0, power):
+    """Whether ``event`` holds in one trial, given its interior nodes'
+    ``coords`` and the nodes ``link0`` that node 0 links to; an empty
+    interior satisfies every event."""
+    n = coords[0].size
+    if n == 0:
+        return True
+    from scipy.sparse import csgraph, csr_matrix
+
+    iu, ju = np.triu_indices(n, 1)
+    d = np.sqrt(sum((p[iu] - p[ju]) ** 2 for p in coords))
+    h = table_lookup_np(tab, inv_step, _table_arg(b0, d, power))
+    linked = draws_np(base, STREAM_PAIRS, np.arange(iu.size, dtype=np.uint64)) < h
+    # iu is sorted, so the links are already in row order
+    rows = np.concatenate(([0], np.cumsum(np.bincount(iu[linked], minlength=n))))
+    # float64 data, which csgraph would otherwise convert to
+    graph = csr_matrix((np.ones(rows[-1]), ju[linked], rows), shape=(n, n))
+    ncomp, labels = csgraph.connected_components(graph, directed=False)
+    if event == "joint":
+        return ncomp == 1
+    # node 0 joins the whole graph when it links into every component
+    return np.unique(labels[link0]).size == ncomp
+
+
+def escape_trials(seed, trials, dims, node0, cone_tan, b_coeffs, tab, inv_step,
+                  event, reach, power, *, n=None, rho=None):
     """Number of the ``trials`` in which ``event`` holds.
 
     ``dims`` is (L, w); a third coordinate in ``node0`` selects the 3-D slab
-    (L x L x w) over the 2-D strip (L x w). ``cone_tan`` maps each node's
-    offset from node 0 along the walls (x - x0 in 2-D, the horizontal
-    distance in 3-D) to its cone half-angle tangent. A link at unfolded
-    distance r after c reflections fires with the table value at
-    ``b_coeffs[c] * r**power``.
+    (L x L x w) over the 2-D strip (L x w). The last coordinate runs across
+    the strip or slab, the others along the walls. ``cone_tan`` maps each
+    node's offsets from node 0 along the walls (dx in 2-D, dx and dy in 3-D)
+    to its cone half-angle tangent. A link at unfolded distance r after c
+    reflections fires with the table value at ``b_coeffs[c] * r**power``.
+    ``reach`` bounds how far along the walls from node 0 a node in a cone
+    can sit (:func:`cone_reach`).
 
-    Events: ``"isolated_only"``, node 0 links to none of the ``n`` interior
-    nodes; ``"joint"``, node 0 is isolated and the interior pair graph is
+    Interior nodes, give exactly one of:
+
+    - ``rho``: a Poisson process of that intensity. Each trial draws
+      N_U ~ Poisson(rho |U|) nodes uniformly into U, the box within
+      ``reach`` of node 0 along the walls, clipped to the domain, across the
+      full width. A trial that needs the pair graph adds a Poisson(rho V)
+      population over the whole domain, on a stream of its own, and keeps
+      its nodes outside U. Poisson restriction makes this exact.
+    - ``n``: exactly that many nodes, uniform over the domain. Every node
+      draws its x; only nodes within ``reach`` of node 0 along x draw their
+      other coordinates, until a pair graph needs them all.
+
+    Events: ``"isolated_only"``, node 0 links to no interior node;
+    ``"joint"``, node 0 is isolated and the interior pair graph is
     connected; ``"full"``, node 0 and the interior nodes form one component.
 
-    Draws the kernel does not need are skipped; the counts do not change,
-    because every draw is keyed by (trial, stream, index) and a skipped draw
-    leaves the others as they were:
-
-    - ``reach`` bounds how far along the walls from node 0 a node in a cone
-      can sit. Only nodes within it draw their next coordinate across the
-      strip (2-D) or along the floor (3-D, then the height only within the
-      planar distance ``reach``), and only those are classified.
-    - The pair graph is drawn only where the event depends on it: never for
-      ``"isolated_only"``, only in trials with node 0 isolated for
-      ``"joint"`` and in every trial for ``"full"``. It then draws every
-      node's coordinates under their usual keys.
+    Trials run in blocks of at most ``NODE_BUDGET`` nodes: one array pass
+    per block places and classifies the nodes and draws node 0's links, and
+    ``np.bincount`` counts each trial's links. The pair graph is drawn only
+    in trials whose event depends on it: never for ``"isolated_only"``,
+    where node 0 is isolated for ``"joint"``, and in every trial for
+    ``"full"``. Every draw is keyed by (trial, stream, index), so neither
+    the blocks nor the draws skipped change a count.
     """
     if event not in EVENTS:
         raise ValueError(f"unknown event: {event!r}")
-    if n == 0:
-        return trials
-    three_d = len(node0) == 3
     L, w = dims
+    dim = len(node0)
+    extent = np.array([L] * (dim - 1) + [w], dtype=np.float64)
     b_coeffs = np.asarray(b_coeffs, dtype=np.float64)
     c_max = len(b_coeffs) - 1
-    b0 = b_coeffs[0]
-    pos_keys = np.arange(n, dtype=np.uint64) * np.uint64(4)
-    one, two = np.uint64(1), np.uint64(2)
-    span_y = L if three_d else w
-    if event != "isolated_only":
-        iu, ju = np.triu_indices(n, 1)
-        pair_keys = np.arange(iu.size, dtype=np.uint64)
+    bases = trial_bases_np(seed, np.arange(trials, dtype=np.uint64))
+    if n is not None:
+        stream, lo, span = STREAM_POSITION, np.zeros(dim), extent
+        counts = np.full(trials, n, dtype=np.int64)
+    else:
+        along = np.asarray(node0[:-1], dtype=np.float64)
+        lo = np.append(np.maximum(along - reach, 0.0), 0.0)
+        span = np.append(np.minimum(along + reach, extent[:-1]), w) - lo
+        stream = STREAM_REACH
+        u = draws_np(bases, STREAM_COUNTS, np.zeros(trials, dtype=np.uint64))
+        counts = poisson_counts(u, rho * np.prod(span))
 
-    count = 0
-    for t in range(trials):
-        base = trial_bases_np(seed, np.array([t], dtype=np.uint64))
-        xs = draws_np(base, STREAM_POSITION, pos_keys) * L
-        dx = xs - node0[0]
+    link_trial, link_node = [], []
+    for start, stop in _blocks(counts):
+        k = counts[start:stop]
+        trial = np.repeat(np.arange(start, stop), k)
+        node = (np.arange(trial.size) - np.repeat(np.cumsum(k) - k, k)).astype(np.uint64)
+        base = bases[trial]
+        keys = node * np.uint64(4)
+        dx = lo[0] + span[0] * draws_np(base, stream, keys) - node0[0]
         near = np.flatnonzero(np.abs(dx) <= reach)
-        ys = draws_np(base, STREAM_POSITION, pos_keys[near] + one) * span_y
-        if three_d:
-            sx = dx[near]
-            sy = ys - node0[1]
-            rad = np.sqrt(sx * sx + sy * sy)
-            inside = rad <= reach
-            near = near[inside]
-            rad = rad[inside]
-            zs = draws_np(base, STREAM_POSITION, pos_keys[near] + two) * w
-            c_sel, adx, vert = _classify_np(rad, zs, -node0[2], w, cone_tan(rad), c_max)
+        trial, node, base, keys, dx = trial[near], node[near], base[near], keys[near], dx[near]
+        rest = [lo[d] + span[d] * draws_np(base, stream, keys + np.uint64(d))
+                for d in range(1, dim)]
+        if dim == 2:
+            offsets, adx = (dx,), np.abs(dx)
         else:
-            dxn = dx[near]
-            c_sel, adx, vert = _classify_np(np.abs(dxn), ys, -node0[1], w,
-                                            cone_tan(dxn), c_max)
+            offsets = (dx, rest[0] - node0[1])
+            adx = np.sqrt(offsets[0] * offsets[0] + offsets[1] * offsets[1])
+        c_sel, adx, vert = _classify_np(adx, rest[-1], -node0[-1], w,
+                                        cone_tan(*offsets), c_max)
         # only nodes inside a cone can link to node 0
-        hit = c_sel >= 0
-        reached = near[hit]
+        hit = np.flatnonzero(c_sel >= 0)
         r0 = np.sqrt(adx[hit] ** 2 + vert[hit] ** 2)
         h0 = table_lookup_np(tab, inv_step, _table_arg(b_coeffs[c_sel[hit]], r0, power))
-        u0 = draws_np(base, STREAM_EXTERNAL, reached.astype(np.uint64))
-        link0 = reached[u0 < h0]
-        isolated = link0.size == 0
-        if event == "isolated_only":
-            count += isolated
-            continue
-        if event == "joint" and not isolated:
-            continue
+        linked = hit[draws_np(base[hit], STREAM_EXTERNAL, node[hit]) < h0]
+        link_trial.append(trial[linked])
+        link_node.append(node[linked])
 
-        from scipy.sparse import coo_matrix, csgraph
-
-        coords = [xs, draws_np(base, STREAM_POSITION, pos_keys + one) * span_y]
-        if three_d:
-            coords.append(draws_np(base, STREAM_POSITION, pos_keys + two) * w)
-        d = np.sqrt(sum((p[iu] - p[ju]) ** 2 for p in coords))
-        h = table_lookup_np(tab, inv_step, _table_arg(b0, d, power))
-        linked = draws_np(base, STREAM_PAIRS, pair_keys) < h
-        graph = coo_matrix((np.ones(int(linked.sum()), dtype=bool),
-                            (iu[linked], ju[linked])), shape=(n, n))
-        ncomp, labels = csgraph.connected_components(graph, directed=False)
-        if event == "joint":
-            count += ncomp == 1
-        else:
-            # node 0 joins the whole graph when it links into every component
-            count += np.unique(labels[link0]).size == ncomp
+    links = np.bincount(np.concatenate(link_trial), minlength=trials)
+    isolated = links == 0
+    if event == "isolated_only":
+        return int(isolated.sum())
+    link_node = np.concatenate(link_node).astype(np.int64)
+    first = np.concatenate(([0], np.cumsum(links)))
+    graph_trials = np.flatnonzero(isolated) if event == "joint" else np.arange(trials)
+    # a pair graph over Poisson nodes also takes those outside U, if any
+    outside_u = rho is not None and np.prod(span) < np.prod(extent)
+    if outside_u:
+        u = draws_np(bases[graph_trials], STREAM_COUNTS,
+                     np.ones(graph_trials.size, dtype=np.uint64))
+        domain_counts = poisson_counts(u, rho * np.prod(extent))
+    count = 0
+    for i, t in enumerate(graph_trials):
+        base = bases[t:t + 1]
+        coords = _nodes(base, stream, counts[t], lo, span)
+        if outside_u:
+            domain = _nodes(base, STREAM_DOMAIN, domain_counts[i], np.zeros(dim), extent)
+            outside = np.zeros(domain_counts[i], dtype=bool)
+            for d in range(dim - 1):
+                outside |= (domain[d] < lo[d]) | (domain[d] > lo[d] + span[d])
+            coords = [np.concatenate((p, q[outside])) for p, q in zip(coords, domain)]
+        count += _graph_event(base, coords, link_node[first[t]:first[t + 1]], event,
+                              tab, inv_step, b_coeffs[0], power)
     return count

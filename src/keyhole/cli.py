@@ -114,12 +114,15 @@ def _sweep_row(cfg: dict, geometry, rho, param: str, value: float) -> dict:
     model = make_channel_model(K=ch["K"], beta=ch["beta"], eta=ch.get("eta", 2.0),
                                alpha=ch["alpha"], C=ch.get("C", 6))
     mc_cfg = cfg.get("mc", {})
-    row = {"sweep_param": param, "value": value,
-           "mass_closed": mass(geometry, model, "closed_form").total,
+    try:
+        closed, status = mass(geometry, model, "closed_form").total, "ok"
+    except ValueError as exc:  # the layout or eta has no closed form; the row stands
+        closed, status = math.nan, f"no closed form: {exc}"
+    row = {"sweep_param": param, "value": value, "mass_closed": closed,
            "mass_quadrature": mass(geometry, model).total, "isolation_analytic": math.nan,
            "mc_p_hat": math.nan, "mc_std_err": math.nan,
            "trials": int(mc_cfg.get("trials", 0)) if mc_cfg.get("enabled") else 0,
-           "seed": int(mc_cfg.get("seed", 0)), "status": "ok"}
+           "seed": int(mc_cfg.get("seed", 0)), "status": status}
     # a layout with a node population carries its density and isolation
     if rho is not None:
         row["isolation_analytic"] = math.exp(-rho * row["mass_quadrature"])
@@ -137,7 +140,9 @@ def run_experiment(source, output_path=None) -> tuple:
 
     The whole config is checked before the first row: a missing or unknown
     key raises ConfigError. A row whose layout or computation fails at its
-    sweep value is written with an ``error:`` status instead.
+    sweep value is written with an ``error:`` status instead. A row whose
+    layout derives no closed form keeps its other columns, with
+    ``mass_closed`` NaN and the reason in a ``no closed form:`` status.
     """
     cfg = load_config(source) if isinstance(source, (str, Path)) else source
     if cfg.get("schema", "keyhole-config-v1") != "keyhole-config-v1":

@@ -67,18 +67,24 @@ class Geometry3D:
     def is_on_axis(self, tol: float = 1e-9) -> bool:
         return self.node_offset() <= tol
 
+    def rim_distance(self, cos_phi, sin_phi):
+        """Horizontal distance from node 0's foot to the gap rim along the
+        azimuth with cosine ``cos_phi`` and sine ``sin_phi`` (scalars or
+        arrays)."""
+        gx, gy = self.gap_center
+        ux = self.x0 - gx
+        uy = self.y0 - gy
+        ue = ux * cos_phi + uy * sin_phi
+        d2 = ux * ux + uy * uy
+        return -ue + np.sqrt(self.gap_radius ** 2 - d2 + ue * ue)
+
     def theta(self, varphi: float = 0.0) -> float:
         """Escape-cone half-angle along azimuth ``varphi``.
 
         Constant for a node on the gap axis; otherwise set by the distance
         to the gap rim along that azimuth.
         """
-        gx, gy = self.gap_center
-        ux = self.x0 - gx
-        uy = self.y0 - gy
-        ue = ux * math.cos(varphi) + uy * math.sin(varphi)
-        d2 = ux * ux + uy * uy
-        reach = -ue + math.sqrt(self.gap_radius ** 2 - d2 + ue * ue)
+        reach = self.rim_distance(math.cos(varphi), math.sin(varphi))
         return math.atan(reach / self.abs_z0)
 
     def regions(self, model) -> RegionSet:
@@ -99,12 +105,21 @@ class Geometry3D:
         return self.w * self.L * self.L
 
     def mc_setup(self):
-        """Node 0, the cone tangent per radial offset, node 0's depth below
-        the floor and the largest tangent, for the trial kernel."""
-        if not self.is_on_axis():
-            raise NotImplementedError("3-D trials assume a node on the gap axis")
-        tan_max = math.tan(self.theta())
-        return (self.x0, self.y0, self.z0), lambda rad: tan_max, self.abs_z0, tan_max
+        """Node 0, the cone tangent per horizontal offset (dx, dy) from node
+        0, node 0's depth below the floor and the largest tangent, for the
+        trial kernel. Off the gap axis the tangent is tan theta(phi) at the
+        offset's azimuth phi = atan2(dy, dx), largest opposite the offset."""
+        node0 = (self.x0, self.y0, self.z0)
+        if self.is_on_axis():
+            tan_max = math.tan(self.theta())
+            return node0, lambda dx, dy: tan_max, self.abs_z0, tan_max
+
+        def cone_tan(dx, dy):
+            phi = np.arctan2(dy, dx)
+            return self.rim_distance(np.cos(phi), np.sin(phi)) / self.abs_z0
+
+        tan_max = (self.gap_radius + self.node_offset()) / self.abs_z0
+        return node0, cone_tan, self.abs_z0, tan_max
 
     def swept(self, param: str, value: float) -> "Geometry3D":
         """This layout with ``param``, one of ``sweep_parameters``, set to ``value``."""

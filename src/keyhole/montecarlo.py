@@ -1,11 +1,13 @@
 """Stochastic oracle: random node placement, link sampling and connectivity
 event estimation for the escape and transport layouts.
 
-Links are Bernoulli draws with the exact Marcum-Q connection probability
-(tabulated densely enough that interpolation error is far below Monte Carlo
-noise; the exponential surrogate is never used here). Draws are counter
-based, so estimates are reproducible bit for bit for a given seed,
-regardless of execution order.
+Interior nodes of the escape layouts form a Poisson process of intensity
+``rho``, the law behind the analytic isolation exp(-rho m), or exactly
+``n`` uniform nodes. Links are Bernoulli draws with the exact Marcum-Q
+connection probability (tabulated densely enough that interpolation error
+is far below Monte Carlo noise; the exponential surrogate is never used
+here). Draws are counter based, so estimates are reproducible bit for bit
+for a given seed, regardless of execution order.
 """
 
 from __future__ import annotations
@@ -43,8 +45,10 @@ class McEstimate:
 @dataclass
 class McConfig:
     """One Monte Carlo run. A layout with a node population (a domain
-    measure) takes exactly one of ``rho`` and ``n``. ``scenario`` is optional
-    and, if given, must be ``geometry.scenario``."""
+    measure) takes exactly one of ``rho``, the intensity of a Poisson process
+    of interior nodes, and ``n``, an exact node count; which one is given
+    sets the node law. ``scenario`` is optional and, if given, must be
+    ``geometry.scenario``."""
 
     geometry: object
     channel: ChannelModel
@@ -70,6 +74,7 @@ class McConfig:
             raise ValueError("give exactly one of rho and n")
 
     def node_count(self) -> int:
+        """Interior nodes per trial: ``n``, or the Poisson mean rho V rounded."""
         if self.n is not None:
             return self.n
         return int(round(self.rho * self.geometry.domain_measure()))
@@ -103,16 +108,15 @@ def _escape_counts(cfg: McConfig) -> int:
     model = cfg.channel
     g = cfg.geometry
     c_max = cfg.count_limit()
-    n = cfg.node_count()
     tab, inv_step = link_probability_table(model)
     b_coeffs = np.array([model.b_coefficient(c) for c in range(c_max + 1)])
     node0, cone_tan, depth, tan_max = g.mc_setup()
     reach = _kernels.cone_reach(g.w, depth, tan_max, c_max)
     # infinite coefficients (alpha = 0) map far beyond the table, giving H = 0
     b_coeffs = np.where(np.isinf(b_coeffs), 1e9, b_coeffs)
-    return _kernels.escape_trials(cfg.seed, cfg.trials, n, (g.L, g.w), node0,
-                                  cone_tan, b_coeffs, tab, inv_step, cfg.event, reach,
-                                  0.5 * model.eta)
+    return _kernels.escape_trials(cfg.seed, cfg.trials, (g.L, g.w), node0, cone_tan,
+                                  b_coeffs, tab, inv_step, cfg.event, reach,
+                                  0.5 * model.eta, n=cfg.n, rho=cfg.rho)
 
 
 def run_escape_isolation(cfg: McConfig) -> McEstimate:
@@ -121,12 +125,15 @@ def run_escape_isolation(cfg: McConfig) -> McEstimate:
     ``event="joint"`` counts trials where node 0 reaches nobody while the
     interior graph is fully connected; ``event="isolated_only"`` drops the
     interior condition (the two coincide in dense regimes); ``event="full"``
-    counts trials where all nodes form one component. The kernel skips the
-    draws the event does not need: the interior pair graph for
-    ``"isolated_only"`` and, for ``"joint"``, in every trial where node 0
-    links, and the cross-wall coordinates of nodes beyond the cones' reach.
+    counts trials where all nodes form one component. With ``rho`` the
+    interior is a Poisson process, so ``"isolated_only"`` estimates
+    exp(-rho m), the analytic isolation; with ``n`` it is exactly n uniform
+    nodes, whose isolation is (1 - m/V)^n. The kernel
+    (:func:`_kernels.escape_trials`) runs the trials in blocks of whole
+    trials, draws Poisson nodes straight into the box the cones can reach,
+    and builds the interior pair graph only in trials whose event needs it.
     Every draw is keyed by its trial, stream and index, so the counts are
-    those of a run that draws everything.
+    those of a run that draws everything, one trial at a time.
     """
     return McEstimate.from_counts(_escape_counts(cfg), cfg.trials, cfg.seed)
 

@@ -23,14 +23,25 @@ _ESCAPE2D_BASE = {
     "channel": {"K": 4.0, "beta": 1e-3, "eta": 2.0, "alpha": 0.75, "C": 6},
     "rho": 0.1,
     "sides": "both",
-    "mc": {"enabled": False, "trials": 10000, "seed": 20240901, "event": "joint"},
+    "mc": {"enabled": True, "trials": 10000, "seed": 20240901, "event": "joint"},
+}
+
+_ESCAPE3D_BASE = {
+    "schema": "keyhole-config-v1",
+    "scenario": "escape3d",
+    "geometry": {"w": 20.0, "L": 100.0, "gap_radius": 0.1,
+                 "gap_center": [50.0, 50.0], "x0": 50.0, "y0": 50.0,
+                 "z0": -2.0},
+    "channel": {"K": 4.0, "beta": 1e-3, "eta": 2.0, "alpha": 0.75, "C": 6},
+    "rho": 0.1,
+    "mc": {"enabled": True, "trials": 10000, "seed": 20240902,
+           "event": "isolated_only"},
 }
 
 PRESETS = {
     "fig4": {
         **copy.deepcopy(_ESCAPE2D_BASE),
         "sweep": {"parameter": "alpha", "values": _grid(0.5, 1.0, 11)},
-        "mc": {"enabled": True, "trials": 10000, "seed": 20240901, "event": "joint"},
     },
     "fig5": {
         **copy.deepcopy(_ESCAPE2D_BASE),
@@ -48,52 +59,21 @@ PRESETS = {
         "sweep": {"parameter": "eps", "values": _grid(0.1, 0.5, 9)},
     },
     "fig9": {
-        "schema": "keyhole-config-v1",
-        "scenario": "escape3d",
-        "geometry": {"w": 20.0, "L": 100.0, "gap_radius": 0.1,
-                     "gap_center": [50.0, 50.0], "x0": 50.0, "y0": 50.0,
-                     "z0": -2.0},
-        "channel": {"K": 4.0, "beta": 1e-3, "eta": 2.0, "alpha": 0.75, "C": 6},
+        **copy.deepcopy(_ESCAPE3D_BASE),
         "rho": 0.08,
         "sweep": {"parameter": "alpha", "values": _grid(0.5, 1.0, 11)},
-        "mc": {"enabled": True, "trials": 10000, "seed": 20240902,
-               "event": "isolated_only"},
     },
     "fig10": {
-        "schema": "keyhole-config-v1",
-        "scenario": "escape3d",
-        "geometry": {"w": 20.0, "L": 100.0, "gap_radius": 0.1,
-                     "gap_center": [50.0, 50.0], "x0": 50.0, "y0": 50.0,
-                     "z0": -2.0},
-        "channel": {"K": 4.0, "beta": 1e-3, "eta": 2.0, "alpha": 0.75, "C": 6},
-        "rho": 0.1,
+        **copy.deepcopy(_ESCAPE3D_BASE),
         "sweep": {"parameter": "alpha", "values": _grid(0.5, 1.0, 11)},
-        "mc": {"enabled": False, "trials": 10000, "seed": 20240902,
-               "event": "isolated_only"},
     },
     "fig11": {
-        "schema": "keyhole-config-v1",
-        "scenario": "escape3d",
-        "geometry": {"w": 20.0, "L": 100.0, "gap_radius": 0.1,
-                     "gap_center": [50.0, 50.0], "x0": 50.0, "y0": 50.0,
-                     "z0": -2.0},
-        "channel": {"K": 4.0, "beta": 1e-3, "eta": 2.0, "alpha": 0.75, "C": 6},
-        "rho": 0.1,
+        **copy.deepcopy(_ESCAPE3D_BASE),
         "sweep": {"parameter": "gap_radius", "values": _grid(0.05, 0.5, 10)},
-        "mc": {"enabled": False, "trials": 10000, "seed": 20240902,
-               "event": "isolated_only"},
     },
     "fig12": {
-        "schema": "keyhole-config-v1",
-        "scenario": "escape3d",
-        "geometry": {"w": 20.0, "L": 100.0, "gap_radius": 0.1,
-                     "gap_center": [50.0, 50.0], "x0": 50.0, "y0": 50.0,
-                     "z0": -2.0},
-        "channel": {"K": 4.0, "beta": 1e-3, "eta": 2.0, "alpha": 0.75, "C": 6},
-        "rho": 0.1,
+        **copy.deepcopy(_ESCAPE3D_BASE),
         "sweep": {"parameter": "z0", "values": _grid(-4.0, -0.5, 8)},
-        "mc": {"enabled": False, "trials": 10000, "seed": 20240902,
-               "event": "isolated_only"},
     },
     "fig13": {
         "schema": "keyhole-config-v1",

@@ -138,6 +138,22 @@ def test_geometry_invalid_at_one_sweep_value_is_an_error_row(tmp_path):
     assert rows[1]["status"].startswith("error: the external node must sit below")
 
 
+def test_off_axis_row_keeps_its_quadrature_and_mc(tmp_path):
+    # the closed form assumes node 0 on the gap axis; the row stands without it
+    cfg = presets.get_preset("fig9")
+    cfg["sweep"] = {"parameter": "y0", "values": [49.95, 50.0]}
+    cfg["mc"]["trials"] = 500
+    off, on = cli.run_experiment(cfg, tmp_path / "fig9.csv")[0]
+    assert math.isnan(off["mass_closed"])
+    assert off["status"] == "no closed form: the closed form assumes a node on the gap axis"
+    assert off["mass_quadrature"] == pytest.approx(on["mass_quadrature"], rel=0.01)
+    for row in (off, on):
+        p = row["isolation_analytic"]
+        assert p == pytest.approx(math.exp(-cfg["rho"] * row["mass_quadrature"]))
+        assert abs(row["mc_p_hat"] - p) <= 4.0 * math.sqrt(p * (1.0 - p) / 500)
+    assert on["status"] == "ok"
+
+
 @pytest.mark.parametrize("name", ["fig4", "fig9", "fig13"])
 def test_layout_rejects_a_parameter_it_does_not_read(name):
     geometry = cli._parse_geometry(presets.get_preset(name))

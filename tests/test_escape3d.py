@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from keyhole import _kernels
 from keyhole.channel import make_channel_model
 from keyhole.escape3d import Geometry3D, region_bounds_3d, volume_ratio_first_reflection
 from keyhole.geometry2d import y_image
@@ -181,25 +182,60 @@ def monte_carlo_mass(g, model, n, seed):
     gap disc, judged by where the segment from node 0 crosses z = 0.
     Returns (estimate, standard error).
     """
+    pts, volume = points_in_reach(g, model.C, n, seed)
+    c, r = count_through_disc(g, pts, model.C)
+    seen = c >= 0
+    h = np.zeros(n)
+    lam = np.array([model.lambda_coeff(k) for k in range(model.C + 1)])
+    h[seen] = np.exp(-lam[c[seen]] * r[seen] ** model.radial_exponent())
+    return volume * h.mean(), volume * h.std() / math.sqrt(n)
+
+
+def points_in_reach(g, c_max, n, seed):
+    """``n`` uniform points of the box that bounds the unfolded cones up to
+    ``c_max``, and the box's volume."""
     rng = np.random.default_rng(seed)
-    gx, gy = g.gap_center
-    reach = ((model.C + 1) * g.w + g.abs_z0) * (g.gap_radius + g.node_offset()) / g.abs_z0
+    reach = ((c_max + 1) * g.w + g.abs_z0) * (g.gap_radius + g.node_offset()) / g.abs_z0
     lo = np.array([g.x0 - reach, g.y0 - reach, 0.0])
     hi = np.array([g.x0 + reach, g.y0 + reach, g.w])
-    pts = lo + (hi - lo) * rng.random((n, 3))
+    return lo + (hi - lo) * rng.random((n, 3)), float(np.prod(hi - lo))
+
+
+def count_through_disc(g, pts, c_max):
+    """Smallest c whose unfolded image of each point is seen through the gap
+    disc (-1: none up to ``c_max``), and the unfolded distance, judged by
+    where the segment from node 0 crosses z = 0."""
+    gx, gy = g.gap_center
     dx, dy = pts[:, 0] - g.x0, pts[:, 1] - g.y0
-    h = np.zeros(n)
-    todo = np.ones(n, dtype=bool)
-    for c in range(model.C + 1):
+    c_out = np.full(len(pts), -1)
+    r_out = np.zeros(len(pts))
+    for c in range(c_max + 1):
         vert = y_image(c, pts[:, 2], g.w) + g.abs_z0
         t = g.abs_z0 / vert
-        seen = todo & ((g.x0 + t * dx - gx) ** 2 + (g.y0 + t * dy - gy) ** 2
-                       <= g.gap_radius ** 2)
-        r = np.sqrt(dx[seen] ** 2 + dy[seen] ** 2 + vert[seen] ** 2)
-        h[seen] = np.exp(-model.lambda_coeff(c) * r ** model.radial_exponent())
-        todo &= ~seen
-    volume = float(np.prod(hi - lo))
-    return volume * h.mean(), volume * h.std() / math.sqrt(n)
+        seen = (c_out < 0) & ((g.x0 + t * dx - gx) ** 2 + (g.y0 + t * dy - gy) ** 2
+                              <= g.gap_radius ** 2)
+        c_out[seen] = c
+        r_out[seen] = np.sqrt(dx[seen] ** 2 + dy[seen] ** 2 + vert[seen] ** 2)
+    return c_out, r_out
+
+
+def test_off_axis_trial_cones_match_the_gap_disc():
+    # the trial kernel's cone test, at each node's azimuth, against where the
+    # segment from node 0 to the node's image crosses the floor
+    g = make_geometry(w=10.0, gap_radius=1.0, x0=50.6, y0=49.8)
+    node0, cone_tan, depth, tan_max = g.mc_setup()
+    pts, _ = points_in_reach(g, 3, 50_000, seed=4)
+    dx, dy = pts[:, 0] - g.x0, pts[:, 1] - g.y0
+    tan_t = cone_tan(dx, dy)
+    c, _, _ = _kernels._classify_np(np.sqrt(dx * dx + dy * dy), pts[:, 2], depth, g.w,
+                                    tan_t, 3)
+    assert np.array_equal(c, count_through_disc(g, pts, 3)[0])
+    assert (c >= 0).sum() > 5000
+    assert tan_t.max() <= tan_max
+    assert tan_t.max() == pytest.approx(tan_max, rel=1e-3)
+    phi = np.linspace(0.0, 2.0 * math.pi, 9)
+    assert cone_tan(np.cos(phi), np.sin(phi)) == pytest.approx(
+        [math.tan(g.theta(v)) for v in phi], rel=1e-14)
 
 
 def test_off_axis_mass_matches_monte_carlo():

@@ -3,13 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.sparse import csgraph
 
 from keyhole import _kernels, cli, montecarlo, presets
 from keyhole.channel import make_channel_model
 from keyhole.escape3d import Geometry3D
 from keyhole.geometry2d import Geometry2D
-from keyhole.mass2d import mass
+from keyhole.mass2d import ClusterInputs, full_connectivity_first_order, mass
 from keyhole.montecarlo import McConfig, link_probability_table, run_escape_isolation
 
 
@@ -121,6 +122,73 @@ def test_pair_graph_built_only_where_the_event_needs_it(monkeypatch):
     assert len(calls) == iso + cfg.trials
 
 
+@pytest.mark.parametrize("lam", [0.3, 300.0])
+def test_keyed_poisson_counts_have_mean_and_variance_lam(lam):
+    # at 0.3, three trials in four draw no node
+    trials = 20000
+    bases = _kernels.trial_bases_np(7, np.arange(trials, dtype=np.uint64))
+    u = _kernels.draws_np(bases, _kernels.STREAM_COUNTS, np.zeros(trials, dtype=np.uint64))
+    k = _kernels.poisson_counts(u, lam)
+    # each count is the least k whose CDF reaches its uniform
+    assert np.all(special.pdtr(k, lam) >= u)
+    assert np.all((k == 0) | (special.pdtr(np.maximum(k - 1, 0), lam) < u))
+    assert abs(k.mean() - lam) <= 4.0 * math.sqrt(lam / trials)
+    assert abs(k.var(ddof=1) - lam) <= 4.0 * math.sqrt((lam + 2.0 * lam * lam) / trials)
+    # uniforms on the CDF's steps and just above them, where the rounding of
+    # pdtrik decides and the fix-up must give k and k + 1
+    steps = np.arange(int(lam + 6.0 * math.sqrt(lam)) + 1)
+    cdf = special.pdtr(steps, lam)
+    steps, cdf = steps[cdf < 1.0 - 1e-12], cdf[cdf < 1.0 - 1e-12]
+    assert np.array_equal(_kernels.poisson_counts(cdf, lam), steps)
+    assert np.array_equal(_kernels.poisson_counts(np.nextafter(cdf, 1.0), lam), steps + 1)
+
+
+def block_layouts():
+    split = split_interior_config(trials=60)
+    yield split
+    yield dataclasses.replace(split, n=None, rho=0.04)
+    # a reach box inside the slab: c_max = 1 keeps it 11 from node 0
+    slab = Geometry3D(w=10.0, L=30.0, gap_radius=1.0, gap_center=(15.0, 15.0),
+                      x0=15.0, y0=15.0, z0=-2.0)
+    yield McConfig(slab, split.channel, trials=40, seed=26, rho=0.005, c_max=1)
+
+
+@pytest.mark.parametrize("cfg", block_layouts(), ids=["n", "rho", "rho_3d"])
+def test_blocks_leave_every_count_unchanged(cfg, monkeypatch):
+    counts = []
+    # one trial per block, then every trial in one block
+    for budget in (1, 10 ** 9):
+        monkeypatch.setattr(_kernels, "NODE_BUDGET", budget)
+        counts.append(event_counts(cfg))
+    assert counts[0] == counts[1]
+    assert 0 < counts[0][0] < cfg.trials
+
+
+def test_pair_graph_sees_a_poisson_population_over_the_domain(monkeypatch):
+    # the reach box U covers 22 x 22 of the 30 x 30 floor; a graph trial
+    # joins U's nodes with the domain population's nodes outside U, which
+    # together are Poisson(rho V) and uniform over the slab
+    cfg = dataclasses.replace(list(block_layouts())[2], trials=300, event="full")
+    seen = []
+    graph_event = _kernels._graph_event
+
+    def recording(base, coords, *args):
+        seen.append(np.array(coords))
+        return graph_event(base, coords, *args)
+
+    monkeypatch.setattr(_kernels, "_graph_event", recording)
+    montecarlo._escape_counts(cfg)
+    counts = np.array([c.shape[1] for c in seen])
+    nodes = np.concatenate(seen, axis=1)
+    lam = cfg.rho * cfg.geometry.domain_measure()
+    assert len(seen) == cfg.trials
+    assert abs(counts.mean() - lam) <= 4.0 * math.sqrt(lam / cfg.trials)
+    assert nodes.min() >= 0.0 and nodes[:2].max() <= 30.0 and nodes[2].max() <= 10.0
+    in_u = (np.abs(nodes[0] - 15.0) <= 11.0) & (np.abs(nodes[1] - 15.0) <= 11.0)
+    share = (22.0 / 30.0) ** 2
+    assert abs(in_u.mean() - share) <= 4.0 * math.sqrt(share * (1.0 - share) / in_u.size)
+
+
 def test_scenario_must_name_the_geometry():
     # the slab fills w L^2: at fig9's rho it holds 16,000 nodes, where the
     # strip's w L would give 160
@@ -226,3 +294,32 @@ def test_link_table_shared_and_read_only():
                                                       alpha=0.5, C=6))[0]
     assert other is not tab
     assert not np.array_equal(other, tab)
+
+
+def test_off_axis_isolation_matches_analytic():
+    # a wide gap with node 0 well off its axis, so the cone's tangent runs
+    # from 0.2 to 0.8 with the azimuth; the on-axis isolation, 0.276, sits
+    # about 7 sigma away. C = 2 keeps every cone inside the slab.
+    model = make_channel_model(K=4.0, beta=1e-3, alpha=0.75, C=2)
+    geometry = Geometry3D(w=10.0, L=100.0, gap_radius=1.0, gap_center=(50.0, 50.0),
+                          x0=50.6, y0=50.0, z0=-2.0)
+    rho, trials = 5.5e-4, 10000
+    p = math.exp(-rho * mass(geometry, model).total)
+    est = run_escape_isolation(McConfig(geometry, model, trials=trials, seed=31,
+                                        rho=rho, event="isolated_only"))
+    assert p == pytest.approx(0.3035, abs=1e-4)
+    assert abs(est.p_hat - p) <= 4.0 * math.sqrt(p * (1.0 - p) / trials)
+
+
+def test_full_connectivity_matches_first_order_on_the_small_box():
+    # the first MC test of full_connectivity_first_order: Poisson nodes on an
+    # 8 x 14 box, where at rho = 0.2 the exterior term dominates p_fc
+    geometry = Geometry2D(w=8.0, L=14.0, eps=0.3, gap_center_x=7.0, x0=7.0, y0=-2.0)
+    model = make_channel_model(K=4.0, beta=1e-3, alpha=0.75, C=6)
+    rho, trials = 0.2, 4000
+    p = full_connectivity_first_order(
+        geometry, model, ClusterInputs(rho=rho, V=geometry.domain_measure())).p_fc
+    est = run_escape_isolation(McConfig(geometry, model, trials=trials, seed=5,
+                                        rho=rho, event="full"))
+    assert p == pytest.approx(0.9832, abs=1e-4)
+    assert abs(est.p_hat - p) <= 4.0 * math.sqrt(p * (1.0 - p) / trials)
