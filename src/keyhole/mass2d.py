@@ -397,6 +397,12 @@ def full_connectivity_first_order(g: Geometry2D, model: ChannelModel,
     flag because the first-order expansion can leave the unit interval at
     low density. A term that is not finite raises ``ValueError`` instead:
     clamping it would report a probability the terms do not support.
+
+    An empty interior (N = 0, probability exp(-rho V)) counts as node 0
+    isolated, since the exterior isolation exp(-rho m) includes it. The
+    Monte Carlo ``event="full"`` of :func:`montecarlo.run_escape_isolation`
+    counts it as connected instead, so it reads exp(-rho V) higher: 0.1065
+    on the 8 x 14 box at rho = 0.02, negligible at every preset.
     """
     ext = exterior_isolation_prob(mass(g, model).total, inputs)
     first = internal_isolation_first_term(g, model, inputs)

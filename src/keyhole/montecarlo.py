@@ -128,7 +128,13 @@ def run_escape_isolation(cfg: McConfig) -> McEstimate:
     counts trials where all nodes form one component. With ``rho`` the
     interior is a Poisson process, so ``"isolated_only"`` estimates
     exp(-rho m), the analytic isolation; with ``n`` it is exactly n uniform
-    nodes, whose isolation is (1 - m/V)^n. The kernel
+    nodes, whose isolation is (1 - m/V)^n. A trial with an empty interior
+    (N = 0, probability exp(-rho V) under ``rho``) satisfies every event:
+    node 0 is isolated, and alone it is one component. So ``"full"`` counts
+    it as connected, where :func:`mass2d.full_connectivity_first_order`
+    counts it as node 0 isolated, and reads exp(-rho V) above that
+    convention: 0.1065 on the 8 x 14 box at rho = 0.02, negligible at every
+    preset. The kernel
     (:func:`_kernels.escape_trials`) runs the trials in blocks of whole
     trials, draws Poisson nodes straight into the box the cones can reach,
     and builds the interior pair graph only in trials whose event needs it.
@@ -154,7 +160,9 @@ def run_transport(cfg: McConfig) -> TransportEstimate:
     ``transport.min_paths`` and the link probability from
     ``transport.link_probs_by_count``, the code ``averaged_connect_prob``
     runs, so the two estimates differ only by sampling and quadrature error.
-    Trials are also stratified by that minimal reflection count.
+    Trials are also stratified by that minimal reflection count. They run
+    in blocks of ``_kernels.NODE_BUDGET`` trials; every draw is keyed by its
+    trial, stream and index, so the counts do not depend on the blocking.
     """
     tg = cfg.geometry
     model = cfg.channel
@@ -163,35 +171,34 @@ def run_transport(cfg: McConfig) -> TransportEstimate:
     region0 = cfg.region0 or (tg.node0[0], tg.node0[0], tg.node0[1], tg.node0[1])
     region1 = cfg.region1 or (tg.node1[0], tg.node1[0], tg.node1[1], tg.node1[1])
 
-    trials = np.arange(cfg.trials, dtype=np.uint64)
-    base = _kernels.trial_bases_np(cfg.seed, trials)
+    def link_prob(r, c):
+        return pair_connect_prob_exact(r, c, model)
 
-    def sample_box(stream, box):
-        xs = _kernels.draws_np(base, stream, np.zeros(cfg.trials, dtype=np.uint64))
-        ys = _kernels.draws_np(base, stream, np.ones(cfg.trials, dtype=np.uint64))
-        x = box[0] + (box[1] - box[0]) * xs
-        y = box[2] + (box[3] - box[2]) * ys
-        return x, y
+    # tallies indexed by count + 1, so slot 0 holds the pairs with no path
+    attempts = np.zeros(c_max + 2, dtype=np.int64)
+    connects = np.zeros(c_max + 2, dtype=np.int64)
+    for start in range(0, cfg.trials, _kernels.NODE_BUDGET):
+        trials = np.arange(start, min(start + _kernels.NODE_BUDGET, cfg.trials),
+                           dtype=np.uint64)
+        base = _kernels.trial_bases_np(cfg.seed, trials)
+        index0 = np.zeros(trials.size, dtype=np.uint64)
+        index1 = np.ones(trials.size, dtype=np.uint64)
 
-    x0s, y0s = sample_box(_kernels.STREAM_POSITION, region0)
-    x1s, y1s = sample_box(_kernels.STREAM_NODE1, region1)
+        def sample_box(stream, box):
+            x = box[0] + (box[1] - box[0]) * _kernels.draws_np(base, stream, index0)
+            y = box[2] + (box[3] - box[2]) * _kernels.draws_np(base, stream, index1)
+            return x, y
 
-    c_vals, r_vals = min_paths(tg, x0s, y0s, x1s, y1s, c_max)
-    h = link_probs_by_count(c_vals, r_vals,
-                            lambda r, c: pair_connect_prob_exact(r, c, model))
-    u = _kernels.draws_np(base, _kernels.STREAM_LINK,
-                          np.zeros(cfg.trials, dtype=np.uint64))
-    connected = u < h
-
-    attempts = []
-    connects = []
-    for c in range(0, c_max + 1):
-        sel = c_vals == c
-        attempts.append(int(sel.sum()))
-        connects.append(int((sel & connected).sum()))
-    est = McEstimate.from_counts(int(connected.sum()), cfg.trials, cfg.seed)
-    return TransportEstimate(estimate=est, per_c_attempts=tuple(attempts),
-                             per_c_connects=tuple(connects))
+        x0s, y0s = sample_box(_kernels.STREAM_POSITION, region0)
+        x1s, y1s = sample_box(_kernels.STREAM_NODE1, region1)
+        c_vals, r_vals = min_paths(tg, x0s, y0s, x1s, y1s, c_max)
+        h = link_probs_by_count(c_vals, r_vals, link_prob)
+        connected = _kernels.draws_np(base, _kernels.STREAM_LINK, index0) < h
+        attempts += np.bincount(c_vals + 1, minlength=c_max + 2)
+        connects += np.bincount(c_vals[connected] + 1, minlength=c_max + 2)
+    est = McEstimate.from_counts(int(connects.sum()), cfg.trials, cfg.seed)
+    return TransportEstimate(estimate=est, per_c_attempts=tuple(map(int, attempts[1:])),
+                             per_c_connects=tuple(map(int, connects[1:])))
 
 
 @dataclass(frozen=True)

@@ -188,21 +188,25 @@ def min_paths(tg: TransportGeometry, x0, y0, x1, y1,
     coordinates. Both gap crossings of the unfolded straight segment must fall
     inside their gaps, and every one of the c reflection points in between
     must land on a wall: a ray that meets a wall inside a gap (``wall_gaps``)
-    leaves there, so that count has no path. Returns arrays (c, r) of the
-    broadcast shape; c is -1 and r is 0 where no count of ``tg.counts(c_max)``
-    works.
+    leaves there, so that count has no path. Each count tests only the pairs
+    no lower count resolved. Returns arrays (c, r) of the broadcast shape; c
+    is -1 and r is 0 where no count of ``tg.counts(c_max)`` works.
     """
     x0, y0, x1, y1 = np.broadcast_arrays(*(np.asarray(v, dtype=float)
                                            for v in (x0, y0, x1, y1)))
+    shape = x0.shape
+    x0, y0, x1, y1 = (v.ravel() for v in (x0, y0, x1, y1))
     ay0 = -y0
     # node 1's distance beyond the receiving wall: the upper wall when it
     # sits above the strip, the lower wall when below
     beyond = np.maximum(y1 - tg.w, -y1)
     rx_lo, rx_hi = tg.receiving_gap
     dx = x1 - x0
-    c_vals = np.full(dx.shape, -1, dtype=np.int64)
-    r_vals = np.zeros(dx.shape)
-    todo = np.ones(dx.shape, dtype=bool)
+    c_vals = np.full(x0.size, -1, dtype=np.int64)
+    r_vals = np.zeros(x0.size)
+    # flat indices of the pairs no lower count resolved; x0, dx, ay0 and
+    # beyond shrink with it
+    todo = np.arange(x0.size)
     for c in tg.counts(c_max):
         exit_h = (c + 1) * tg.w
         vert = exit_h + ay0 + beyond
@@ -210,17 +214,20 @@ def min_paths(tg: TransportGeometry, x0, y0, x1, y1,
         # receiver gap at its unfolded height
         x_at0 = x0 + dx * (ay0 / vert)
         x_at1 = x0 + dx * ((exit_h + ay0) / vert)
-        ok = (todo & (x_at0 >= tg.x_l1) & (x_at0 <= tg.x_l2)
+        ok = ((x_at0 >= tg.x_l1) & (x_at0 <= tg.x_l2)
               & (x_at1 >= rx_lo) & (x_at1 <= rx_hi))
         # a reflection point inside a gap is where the ray leaves instead
         for k in range(1, c + 1):
             x_k = x0 + dx * ((k * tg.w + ay0) / vert)
             for lo, hi in tg.wall_gaps(k):
                 ok &= (x_k < lo) | (x_k > hi)
-        c_vals[ok] = c
-        r_vals[ok] = np.hypot(dx[ok], vert[ok])
-        todo &= ~ok
-    return c_vals, r_vals
+        hit = np.flatnonzero(ok)
+        done = todo.take(hit)
+        c_vals[done] = c
+        r_vals[done] = np.hypot(dx.take(hit), vert.take(hit))
+        left = np.flatnonzero(~ok)
+        todo, x0, dx, ay0, beyond = (v.take(left) for v in (todo, x0, dx, ay0, beyond))
+    return c_vals.reshape(shape), r_vals.reshape(shape)
 
 
 def link_probs_by_count(c_vals: np.ndarray, r_vals: np.ndarray,
@@ -230,11 +237,12 @@ def link_probs_by_count(c_vals: np.ndarray, r_vals: np.ndarray,
     ``link_prob`` is called once per distinct count with the array of that
     count's distances; a scalar return broadcasts over them.
     """
-    h = np.zeros(c_vals.shape)
-    for c in np.unique(c_vals[c_vals >= 0]):
-        sel = c_vals == c
-        h[sel] = link_prob(r_vals[sel], int(c))
-    return h
+    c_flat, r_flat = c_vals.ravel(), r_vals.ravel()
+    h = np.zeros(c_flat.size)
+    for c in np.flatnonzero(np.bincount(c_flat + 1)[1:]):
+        sel = np.flatnonzero(c_flat == c)
+        h[sel] = link_prob(r_flat.take(sel), int(c))
+    return h.reshape(c_vals.shape)
 
 
 def averaged_connect_prob(tg: TransportGeometry, model: ChannelModel,

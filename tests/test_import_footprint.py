@@ -6,12 +6,13 @@ from pathlib import Path
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-# analytic set-up, one isolated-only MC run and one transport average, then
-# one joint MC run; prints the heavy SciPy modules loaded after each stage
+# analytic set-up, one isolated-only MC run, one transport average and one
+# transport MC run, then one joint MC run; prints the heavy SciPy modules
+# loaded after each stage
 SCRIPT = """
 import json, sys
 from keyhole import (Geometry2D, McConfig, TransportGeometry, averaged_connect_prob,
-                     make_channel_model, run_escape_isolation)
+                     make_channel_model, run_escape_isolation, run_transport)
 from keyhole.montecarlo import link_probability_table
 
 HEAVY = ("scipy.optimize", "scipy.sparse", "scipy.stats", "scipy.sparse.csgraph")
@@ -28,6 +29,8 @@ tg = TransportGeometry(w=10.0, L=100.0, case="opposite", x_l1=15.0, x_l2=15.3,
                        x_u1=14.5, x_u2=14.8, node0=(15.15, -2.0), node1=(14.65, 12.0))
 averaged_connect_prob(tg, model, (15.0, 15.3, -2.1, -1.9), (14.5, 14.8, 12.0, 14.0),
                       n_outer=2, n_inner=2)
+run_transport(McConfig(tg, model, trials=300, seed=11, region0=(15.0, 15.3, -2.1, -1.9),
+                       region1=(14.5, 14.8, 12.0, 14.0)))
 before = loaded()
 cfg.event = "joint"
 run_escape_isolation(cfg)

@@ -294,6 +294,36 @@ def test_transport_min_path_matches_ray_trace():
     assert {None, 0, 1, 2} <= found
 
 
+@pytest.mark.parametrize("layout", ["opposite", "same_side"])
+def test_min_paths_on_a_broadcast_grid(layout):
+    # the (n0, n1) grid averaged_connect_prob passes: node 0 down the rows,
+    # node 1 along the columns
+    tg, box0, box1 = {
+        "opposite": (opposite_geometry(y0=-0.5), BENCH_BOX0, BENCH_BOX1),
+        "same_side": (same_side_geometry(x_l3=17.0, x_l4=19.0, node1=(18.0, -2.0)),
+                      (14.0, 16.0, -1.0, -0.1), (17.0, 19.0, -1.0, -0.1)),
+    }[layout]
+    rng = np.random.default_rng(7)
+    px, py = rng.uniform(box0[0], box0[1], 17), rng.uniform(box0[2], box0[3], 17)
+    qx, qy = rng.uniform(box1[0], box1[1], 23), rng.uniform(box1[2], box1[3], 23)
+    if layout == "opposite":
+        # the pinned pair, which no count of c <= 6 reaches
+        px[0], py[0], qx[0], qy[0] = *PINNED_P0, *PINNED_P1
+    cs, rs = min_paths(tg, px[:, None], py[:, None], qx, qy, 6)
+    assert cs.shape == rs.shape == (17, 23)
+    found = set()
+    for i, j in itertools.product(range(17), range(23)):
+        want = min_path(tg, (px[i], py[i]), (qx[j], qy[j]), 6)
+        if want is None:
+            assert (cs[i, j], rs[i, j]) == (-1, 0.0), (i, j)
+        else:
+            assert (cs[i, j], rs[i, j]) == want, (i, j)
+        found.add(None if want is None else want[0])
+    # the grid holds unreachable pairs and, across opposite walls, more than
+    # one count
+    assert found >= ({None, 0, 2} if layout == "opposite" else {None, 1})
+
+
 def test_run_transport_agrees_with_min_path(model):
     from keyhole import _kernels
     from keyhole.montecarlo import McConfig, run_transport
@@ -413,6 +443,39 @@ def test_averaged_connect_prob_matches_run_transport(eta):
                                  channel=model, trials=400_000, seed=7,
                                  region0=BENCH_BOX0, region1=BENCH_BOX1)).estimate
     assert abs(est.p_hat - p_avg) <= 4.0 * est.std_err, (p_avg, est.p_hat, est.std_err)
+
+
+def test_run_transport_counts_pinned(model):
+    # per-c tallies of the perfbench transport_average oracle, seed 1
+    from keyhole.montecarlo import McConfig, run_transport
+    run = run_transport(McConfig(scenario="transport", geometry=opposite_geometry(y0=-0.5),
+                                 channel=model, trials=400_000, seed=1,
+                                 region0=BENCH_BOX0, region1=BENCH_BOX1))
+    assert run.per_c_attempts == (251002, 0, 96430, 0, 7492, 0, 1643)
+    assert run.per_c_connects == (240913, 0, 16321, 0, 1, 0, 0)
+    assert run.estimate.event_count == 257235
+
+
+def test_run_transport_counts_do_not_depend_on_blocking(model, monkeypatch):
+    from keyhole import _kernels
+    from keyhole.montecarlo import McConfig, run_transport
+    tg = opposite_geometry(y0=-0.5)
+
+    def run(**kw):
+        return run_transport(McConfig(scenario="transport", geometry=tg, channel=model,
+                                      seed=3, **kw))
+
+    def tallies(est):
+        return est.per_c_attempts, est.per_c_connects, est.estimate.event_count
+
+    whole = tallies(run(trials=5000, region0=BENCH_BOX0, region1=BENCH_BOX1))
+    # a block size that leaves a short last block
+    monkeypatch.setattr(_kernels, "NODE_BUDGET", 997)
+    assert tallies(run(trials=5000, region0=BENCH_BOX0, region1=BENCH_BOX1)) == whole
+    pinned = run(trials=5000,
+                 region0=(PINNED_P0[0], PINNED_P0[0], PINNED_P0[1], PINNED_P0[1]),
+                 region1=(PINNED_P1[0], PINNED_P1[0], PINNED_P1[1], PINNED_P1[1]))
+    assert pinned.per_c_attempts == (0,) * (model.C + 1)
 
 
 def test_run_transport_clips_c_max_to_channel(model):
