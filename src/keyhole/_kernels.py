@@ -8,12 +8,10 @@ draw it does not need leaves every other draw unchanged.
 
 :func:`escape_trials` runs a point's trials in blocks of whole trials under
 a fixed node budget, one array pass per block, and builds a pair graph per
-trial only where the event needs one. Interior nodes follow one of two
-laws. A Poisson process of intensity ``rho`` is drawn straight into the
-box the cones can reach, with the rest of the domain drawn only for a pair
-graph; by Poisson restriction this is the process over the whole domain.
-An exact count ``n`` places every node over the whole domain, and only the
-nodes within the cones' reach draw their other coordinates.
+trial only where the event needs one. Interior nodes form a Poisson process
+of intensity ``rho``. It is drawn straight into the box the cones can
+reach, with the rest of the domain drawn only for a pair graph; by Poisson
+restriction this is the process over the whole domain.
 ``scipy.sparse`` is imported only where a pair graph is built, so this
 module and the ``"isolated_only"`` event do not load it.
 """
@@ -38,7 +36,7 @@ _S11 = np.uint64(11)
 _S56 = np.uint64(56)
 _INV53 = float(2.0 ** -53)
 
-STREAM_POSITION = 0
+STREAM_POSITION = 0    # transport node 0
 STREAM_EXTERNAL = 1
 STREAM_PAIRS = 2
 STREAM_NODE1 = 3
@@ -81,6 +79,16 @@ def table_lookup_np(tab: np.ndarray, inv_step: float, b: np.ndarray) -> np.ndarr
     return np.where(idx >= tab.shape[0] - 1, 0.0, val)
 
 
+def y_image(c: int, y, w: float):
+    """Height of the unfolded image of an interior point after c reflections.
+
+    ``y`` may be a scalar or an ndarray.
+    """
+    if c % 2 == 0:
+        return c * w + y
+    return (c + 1) * w - y
+
+
 def _classify_np(adx, v, av0, w, tan_t, c_max):
     """Minimal-reflection classification; c = -1 is unreachable.
 
@@ -93,8 +101,7 @@ def _classify_np(adx, v, av0, w, tan_t, c_max):
     vert_out = np.zeros_like(adx)
     todo = np.ones(adx.shape, dtype=bool)
     for c in range(c_max + 1):
-        vim = c * w + v if c % 2 == 0 else (c + 1) * w - v
-        vert = vim + av0
+        vert = y_image(c, v, w) + av0
         hit = todo & (adx <= vert * tan_t)
         c_out[hit] = c
         vert_out[hit] = vert[hit]
@@ -177,7 +184,7 @@ def _graph_event(base, coords, link0, event, tab, inv_step, b0, power):
 
 
 def escape_trials(seed, trials, dims, node0, cone_tan, b_coeffs, tab, inv_step,
-                  event, reach, power, *, n=None, rho=None):
+                  event, reach, power, rho):
     """Number of the ``trials`` in which ``event`` holds.
 
     ``dims`` is (L, w); a third coordinate in ``node0`` selects the 3-D slab
@@ -189,17 +196,13 @@ def escape_trials(seed, trials, dims, node0, cone_tan, b_coeffs, tab, inv_step,
     ``reach`` bounds how far along the walls from node 0 a node in a cone
     can sit (:func:`cone_reach`).
 
-    Interior nodes, give exactly one of:
-
-    - ``rho``: a Poisson process of that intensity. Each trial draws
-      N_U ~ Poisson(rho |U|) nodes uniformly into U, the box within
-      ``reach`` of node 0 along the walls, clipped to the domain, across the
-      full width. A trial that needs the pair graph adds a Poisson(rho V)
-      population over the whole domain, on a stream of its own, and keeps
-      its nodes outside U. Poisson restriction makes this exact.
-    - ``n``: exactly that many nodes, uniform over the domain. Every node
-      draws its x; only nodes within ``reach`` of node 0 along x draw their
-      other coordinates, until a pair graph needs them all.
+    Interior nodes form a Poisson process of intensity ``rho``. Each trial
+    draws N_U ~ Poisson(rho |U|) nodes uniformly into U, the box within
+    ``reach`` of node 0 along the walls, clipped to the domain, across the
+    full width; every node that can sit in a cone is among them. A trial
+    that needs the pair graph adds a Poisson(rho V) population over the
+    whole domain, on a stream of its own, and keeps its nodes outside U.
+    Poisson restriction makes this exact.
 
     Events: ``"isolated_only"``, node 0 links to no interior node;
     ``"joint"``, node 0 is isolated and the interior pair graph is
@@ -221,16 +224,11 @@ def escape_trials(seed, trials, dims, node0, cone_tan, b_coeffs, tab, inv_step,
     b_coeffs = np.asarray(b_coeffs, dtype=np.float64)
     c_max = len(b_coeffs) - 1
     bases = trial_bases_np(seed, np.arange(trials, dtype=np.uint64))
-    if n is not None:
-        stream, lo, span = STREAM_POSITION, np.zeros(dim), extent
-        counts = np.full(trials, n, dtype=np.int64)
-    else:
-        along = np.asarray(node0[:-1], dtype=np.float64)
-        lo = np.append(np.maximum(along - reach, 0.0), 0.0)
-        span = np.append(np.minimum(along + reach, extent[:-1]), w) - lo
-        stream = STREAM_REACH
-        u = draws_np(bases, STREAM_COUNTS, np.zeros(trials, dtype=np.uint64))
-        counts = poisson_counts(u, rho * np.prod(span))
+    along = np.asarray(node0[:-1], dtype=np.float64)
+    lo = np.append(np.maximum(along - reach, 0.0), 0.0)
+    span = np.append(np.minimum(along + reach, extent[:-1]), w) - lo
+    u = draws_np(bases, STREAM_COUNTS, np.zeros(trials, dtype=np.uint64))
+    counts = poisson_counts(u, rho * np.prod(span))
 
     link_trial, link_node = [], []
     for start, stop in _blocks(counts):
@@ -239,17 +237,14 @@ def escape_trials(seed, trials, dims, node0, cone_tan, b_coeffs, tab, inv_step,
         node = (np.arange(trial.size) - np.repeat(np.cumsum(k) - k, k)).astype(np.uint64)
         base = bases[trial]
         keys = node * np.uint64(4)
-        dx = lo[0] + span[0] * draws_np(base, stream, keys) - node0[0]
-        near = np.flatnonzero(np.abs(dx) <= reach)
-        trial, node, base, keys, dx = trial[near], node[near], base[near], keys[near], dx[near]
-        rest = [lo[d] + span[d] * draws_np(base, stream, keys + np.uint64(d))
-                for d in range(1, dim)]
+        pos = [lo[d] + span[d] * draws_np(base, STREAM_REACH, keys + np.uint64(d))
+               for d in range(dim)]
+        offsets = [p - p0 for p, p0 in zip(pos[:-1], node0)]
         if dim == 2:
-            offsets, adx = (dx,), np.abs(dx)
+            adx = np.abs(offsets[0])
         else:
-            offsets = (dx, rest[0] - node0[1])
             adx = np.sqrt(offsets[0] * offsets[0] + offsets[1] * offsets[1])
-        c_sel, adx, vert = _classify_np(adx, rest[-1], -node0[-1], w,
+        c_sel, adx, vert = _classify_np(adx, pos[-1], -node0[-1], w,
                                         cone_tan(*offsets), c_max)
         # only nodes inside a cone can link to node 0
         hit = np.flatnonzero(c_sel >= 0)
@@ -266,8 +261,8 @@ def escape_trials(seed, trials, dims, node0, cone_tan, b_coeffs, tab, inv_step,
     link_node = np.concatenate(link_node).astype(np.int64)
     first = np.concatenate(([0], np.cumsum(links)))
     graph_trials = np.flatnonzero(isolated) if event == "joint" else np.arange(trials)
-    # a pair graph over Poisson nodes also takes those outside U, if any
-    outside_u = rho is not None and np.prod(span) < np.prod(extent)
+    # a pair graph also takes the nodes outside U, if any
+    outside_u = np.prod(span) < np.prod(extent)
     if outside_u:
         u = draws_np(bases[graph_trials], STREAM_COUNTS,
                      np.ones(graph_trials.size, dtype=np.uint64))
@@ -275,7 +270,7 @@ def escape_trials(seed, trials, dims, node0, cone_tan, b_coeffs, tab, inv_step,
     count = 0
     for i, t in enumerate(graph_trials):
         base = bases[t:t + 1]
-        coords = _nodes(base, stream, counts[t], lo, span)
+        coords = _nodes(base, STREAM_REACH, counts[t], lo, span)
         if outside_u:
             domain = _nodes(base, STREAM_DOMAIN, domain_counts[i], np.zeros(dim), extent)
             outside = np.zeros(domain_counts[i], dtype=bool)

@@ -156,6 +156,8 @@ def run_experiment(source, output_path=None) -> tuple:
     for key in ("trials", "seed") if mc.get("enabled") else ():
         _require(mc, key)
     rho = _require(cfg, "rho") if geometry.domain_measure() is not None else None
+    if rho is not None and not (isinstance(rho, (int, float)) and 0.0 <= rho < math.inf):
+        raise ConfigError(f"rho must be a finite number >= 0, got {rho!r}")
 
     rows = []
     for value in values:

@@ -27,7 +27,7 @@ from typing import ClassVar, Optional, Tuple
 
 import numpy as np
 
-from ._kernels import _classify_np
+from ._kernels import _classify_np, y_image  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -128,16 +128,6 @@ class Geometry2D:
 
     def in_gap(self, p) -> bool:
         return self.gap_left <= p[0] <= self.gap_right
-
-
-def y_image(c: int, y, w: float):
-    """Height of the unfolded image of an interior point after c reflections.
-
-    ``y`` may be a scalar or an ndarray.
-    """
-    if c % 2 == 0:
-        return c * w + y
-    return (c + 1) * w - y
 
 
 def line_radius(line, phi):

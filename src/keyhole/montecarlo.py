@@ -2,12 +2,13 @@
 event estimation for the escape and transport layouts.
 
 Interior nodes of the escape layouts form a Poisson process of intensity
-``rho``, the law behind the analytic isolation exp(-rho m), or exactly
-``n`` uniform nodes. Links are Bernoulli draws with the exact Marcum-Q
-connection probability (tabulated densely enough that interpolation error
-is far below Monte Carlo noise; the exponential surrogate is never used
-here). Draws are counter based, so estimates are reproducible bit for bit
-for a given seed, regardless of execution order.
+``rho``, the law behind the analytic isolation exp(-rho m). Every
+reflection count up to the channel's ``C`` is simulated. Links are
+Bernoulli draws with the exact Marcum-Q connection probability (tabulated
+densely enough that interpolation error is far below Monte Carlo noise;
+the exponential surrogate is never used here). Draws are counter based, so
+estimates are reproducible bit for bit for a given seed, regardless of
+execution order.
 """
 
 from __future__ import annotations
@@ -45,19 +46,17 @@ class McEstimate:
 @dataclass
 class McConfig:
     """One Monte Carlo run. A layout with a node population (a domain
-    measure) takes exactly one of ``rho``, the intensity of a Poisson process
-    of interior nodes, and ``n``, an exact node count; which one is given
-    sets the node law. ``scenario`` is optional and, if given, must be
-    ``geometry.scenario``."""
+    measure) needs ``rho``, the intensity of its Poisson process of interior
+    nodes, a finite number >= 0; a layout without one (transport) takes no
+    ``rho``. Reflection counts run up to ``channel.C``. ``scenario`` is
+    optional and, if given, must be ``geometry.scenario``."""
 
     geometry: object
     channel: ChannelModel
     trials: int
     seed: int
     rho: Optional[float] = None
-    n: Optional[int] = None
     event: str = "joint"               # one of _kernels.EVENTS
-    c_max: Optional[int] = None
     region0: Optional[Tuple[float, float, float, float]] = None
     region1: Optional[Tuple[float, float, float, float]] = None
     scenario: Optional[str] = None
@@ -70,19 +69,12 @@ class McConfig:
                              f"a {self.geometry.scenario} layout")
         if self.event not in _kernels.EVENTS:
             raise ValueError(f"unknown event: {self.event!r}")
-        if self.geometry.domain_measure() is not None and (self.rho is None) == (self.n is None):
-            raise ValueError("give exactly one of rho and n")
-
-    def node_count(self) -> int:
-        """Interior nodes per trial: ``n``, or the Poisson mean rho V rounded."""
-        if self.n is not None:
-            return self.n
-        return int(round(self.rho * self.geometry.domain_measure()))
-
-    def count_limit(self) -> int:
-        """Highest reflection count simulated: ``c_max`` if set, else the
-        channel's ``C``, and never above ``C``."""
-        return min(self.channel.C if self.c_max is None else self.c_max, self.channel.C)
+        if self.geometry.domain_measure() is None:
+            if self.rho is not None:
+                raise ValueError(f"a {self.geometry.scenario} layout has no interior "
+                                 f"nodes, so it takes no rho")
+        elif not (isinstance(self.rho, (int, float)) and 0.0 <= self.rho < math.inf):
+            raise ValueError(f"rho must be a finite number >= 0, got {self.rho!r}")
 
 
 def link_probability_table(model: ChannelModel) -> Tuple[np.ndarray, float]:
@@ -107,16 +99,15 @@ def _escape_counts(cfg: McConfig) -> int:
     "full") holds."""
     model = cfg.channel
     g = cfg.geometry
-    c_max = cfg.count_limit()
     tab, inv_step = link_probability_table(model)
-    b_coeffs = np.array([model.b_coefficient(c) for c in range(c_max + 1)])
+    b_coeffs = np.array([model.b_coefficient(c) for c in range(model.C + 1)])
     node0, cone_tan, depth, tan_max = g.mc_setup()
-    reach = _kernels.cone_reach(g.w, depth, tan_max, c_max)
+    reach = _kernels.cone_reach(g.w, depth, tan_max, model.C)
     # infinite coefficients (alpha = 0) map far beyond the table, giving H = 0
     b_coeffs = np.where(np.isinf(b_coeffs), 1e9, b_coeffs)
     return _kernels.escape_trials(cfg.seed, cfg.trials, (g.L, g.w), node0, cone_tan,
                                   b_coeffs, tab, inv_step, cfg.event, reach,
-                                  0.5 * model.eta, n=cfg.n, rho=cfg.rho)
+                                  0.5 * model.eta, cfg.rho)
 
 
 def run_escape_isolation(cfg: McConfig) -> McEstimate:
@@ -125,11 +116,10 @@ def run_escape_isolation(cfg: McConfig) -> McEstimate:
     ``event="joint"`` counts trials where node 0 reaches nobody while the
     interior graph is fully connected; ``event="isolated_only"`` drops the
     interior condition (the two coincide in dense regimes); ``event="full"``
-    counts trials where all nodes form one component. With ``rho`` the
-    interior is a Poisson process, so ``"isolated_only"`` estimates
-    exp(-rho m), the analytic isolation; with ``n`` it is exactly n uniform
-    nodes, whose isolation is (1 - m/V)^n. A trial with an empty interior
-    (N = 0, probability exp(-rho V) under ``rho``) satisfies every event:
+    counts trials where all nodes form one component. The interior is a
+    Poisson process of intensity ``rho``, so ``"isolated_only"`` estimates
+    exp(-rho m), the analytic isolation. A trial with an empty interior
+    (N = 0, probability exp(-rho V)) satisfies every event:
     node 0 is isolated, and alone it is one component. So ``"full"`` counts
     it as connected, where :func:`mass2d.full_connectivity_first_order`
     counts it as node 0 isolated, and reads exp(-rho V) above that
@@ -166,7 +156,7 @@ def run_transport(cfg: McConfig) -> TransportEstimate:
     """
     tg = cfg.geometry
     model = cfg.channel
-    c_max = cfg.count_limit()
+    c_max = model.C
 
     region0 = cfg.region0 or (tg.node0[0], tg.node0[0], tg.node0[1], tg.node0[1])
     region1 = cfg.region1 or (tg.node1[0], tg.node1[0], tg.node1[1], tg.node1[1])

@@ -130,6 +130,17 @@ def test_bad_config_key_is_a_config_error_before_any_row(edit, message, tmp_path
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("rho", [-0.1, math.nan, math.inf, "0.1"])
+def test_invalid_rho_is_a_config_error_before_any_row(rho, tmp_path):
+    # a negative rho used to print an isolation above 1 (36.42) with status ok
+    cfg = presets.get_preset("fig4")
+    cfg["mc"]["enabled"] = False
+    cfg["rho"] = rho
+    with pytest.raises(cli.ConfigError, match="rho must be a finite number >= 0"):
+        cli.run_experiment(cfg, tmp_path / "out.csv")
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_geometry_invalid_at_one_sweep_value_is_an_error_row(tmp_path):
     cfg = presets.get_preset("fig5")
     cfg["sweep"]["values"] = [-1.0, 0.5]     # node 0 above the wall at y0 = 0.5

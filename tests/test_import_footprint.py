@@ -23,7 +23,7 @@ def loaded():
 model = make_channel_model(K=4.0, beta=1e-3, alpha=0.5, C=6)
 link_probability_table(model)
 g = Geometry2D(w=20.0, L=100.0, eps=0.3, gap_center_x=50.0, x0=50.0, y0=-2.0)
-cfg = McConfig(g, model, trials=20, seed=11, n=60, event="isolated_only")
+cfg = McConfig(g, model, trials=20, seed=11, rho=0.03, event="isolated_only")
 isolated = run_escape_isolation(cfg).event_count
 tg = TransportGeometry(w=10.0, L=100.0, case="opposite", x_l1=15.0, x_l2=15.3,
                        x_u1=14.5, x_u2=14.8, node0=(15.15, -2.0), node1=(14.65, 12.0))

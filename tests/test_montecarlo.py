@@ -9,7 +9,7 @@ from scipy.sparse import csgraph
 from keyhole import _kernels, cli, montecarlo, presets
 from keyhole.channel import make_channel_model
 from keyhole.escape3d import Geometry3D
-from keyhole.geometry2d import Geometry2D
+from keyhole.geometry2d import Geometry2D, y_image
 from keyhole.mass2d import ClusterInputs, full_connectivity_first_order, mass
 from keyhole.montecarlo import McConfig, link_probability_table, run_escape_isolation
 
@@ -23,12 +23,12 @@ def preset_point(name, alpha):
 
 
 def split_interior_config(trials=200):
-    # a wide gap and a sparse interior: 22 of the 200 trials have a split
-    # interior graph, and node 0 bridges it in one of them
+    # a wide gap and a sparse interior: 20 of the 200 trials have a split
+    # interior graph, two of them with node 0 isolated
     geometry = Geometry2D(w=20.0, L=100.0, eps=2.0, gap_center_x=50.0,
                           x0=50.0, y0=-1.0)
     model = make_channel_model(K=4.0, beta=0.01, alpha=0.75, C=6)
-    return McConfig(geometry, model, trials=trials, seed=13, n=80)
+    return McConfig(geometry, model, trials=trials, seed=13, rho=0.04)
 
 
 def event_counts(cfg):
@@ -36,53 +36,144 @@ def event_counts(cfg):
                  for e in _kernels.EVENTS)
 
 
-# (isolated, joint, full) counts pin the random streams and the event logic
+def reference_counts(cfg, graph=True):
+    """(isolated, joint, full) counts of ``cfg``, or (isolated,) without
+    ``graph``, from a slow reference that shares with the kernel only its
+    keyed draws and its link table. Each trial draws its Poisson nodes in
+    the reach box U and over the domain, keeping the domain's nodes outside
+    U. Every node is classified by testing each image count in turn, the
+    least count whose cone holds it winning. With ``graph``, every trial's
+    full pair graph is built and the events are decided by union-find."""
+    g, model = cfg.geometry, cfg.channel
+    node0, cone_tan, _, tan_max = g.mc_setup()
+    depth = -node0[-1]
+    reach = _kernels.cone_reach(g.w, depth, tan_max, model.C)
+    tab, inv_step = link_probability_table(model)
+    power = 0.5 * model.eta
+    b = [model.b_coefficient(c) for c in range(model.C + 1)]
+    b = np.array([1e9 if math.isinf(x) else x for x in b])
+    dim = len(node0)
+    extent = np.array([g.L] * (dim - 1) + [g.w])
+    lo = np.array([max(p - reach, 0.0) for p in node0[:-1]] + [0.0])
+    span = np.array([min(p + reach, g.L) for p in node0[:-1]] + [g.w]) - lo
+
+    def link_prob(coeff, r):
+        return _kernels.table_lookup_np(tab, inv_step,
+                                        coeff * (r if power == 1.0 else r ** power))
+
+    def nodes(base, stream, count_index, box_lo, box_span):
+        u = _kernels.draws_np(base, _kernels.STREAM_COUNTS,
+                              np.array([count_index], dtype=np.uint64))
+        k = _kernels.poisson_counts(u, cfg.rho * np.prod(box_span))[0]
+        keys = np.arange(k, dtype=np.uint64) * np.uint64(4)
+        return np.array([box_lo[d] + box_span[d]
+                         * _kernels.draws_np(base, stream, keys + np.uint64(d))
+                         for d in range(dim)]).reshape(dim, k)
+
+    def find(parent, i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    counts = np.zeros(3 if graph else 1, dtype=np.int64)
+    bases = _kernels.trial_bases_np(cfg.seed, np.arange(cfg.trials, dtype=np.uint64))
+    for t in range(cfg.trials):
+        base = bases[t:t + 1]
+        in_box = nodes(base, _kernels.STREAM_REACH, 0, lo, span)
+        domain = nodes(base, _kernels.STREAM_DOMAIN, 1, np.zeros(dim), extent)
+        inside = np.ones(domain.shape[1], dtype=bool)
+        for d in range(dim - 1):
+            inside &= (domain[d] >= lo[d]) & (domain[d] <= lo[d] + span[d])
+        pts = np.concatenate((in_box, domain[:, ~inside]), axis=1)
+        n, n_box = pts.shape[1], in_box.shape[1]
+
+        offsets = [pts[d] - node0[d] for d in range(dim - 1)]
+        adx = np.abs(offsets[0]) if dim == 2 else np.sqrt(offsets[0] * offsets[0]
+                                                          + offsets[1] * offsets[1])
+        tan_t = np.broadcast_to(cone_tan(*offsets), (n,))
+        verts = np.array([y_image(c, pts[-1], g.w) + depth for c in range(model.C + 1)])
+        in_cone = adx <= verts * tan_t
+        c_node = np.where(in_cone.any(axis=0), in_cone.argmax(axis=0), -1)
+        # every node a cone holds lies in U
+        assert np.all(c_node[n_box:] == -1)
+        hit = np.flatnonzero(c_node >= 0)
+        vert = verts[c_node[hit], hit]
+        h0 = link_prob(b[c_node[hit]], np.sqrt(adx[hit] ** 2 + vert ** 2))
+        link0 = hit[_kernels.draws_np(base, _kernels.STREAM_EXTERNAL,
+                                      hit.astype(np.uint64)) < h0]
+        isolated = link0.size == 0
+        counts[0] += isolated
+        if not graph:
+            continue
+
+        parent = list(range(n + 1))          # vertex n is node 0
+        pair = 0
+        for i in range(n - 1):
+            j = np.arange(i + 1, n)
+            r = np.sqrt(sum((p[i] - p[j]) ** 2 for p in pts))
+            u = _kernels.draws_np(base, _kernels.STREAM_PAIRS,
+                                  np.arange(pair, pair + j.size, dtype=np.uint64))
+            pair += j.size
+            for k in j[u < link_prob(b[0], r)]:
+                parent[find(parent, i)] = find(parent, k)
+        interior_roots = {find(parent, i) for i in range(n)}
+        for k in link0:
+            parent[find(parent, n)] = find(parent, k)
+        counts[1] += isolated and len(interior_roots) <= 1
+        counts[2] += len({find(parent, i) for i in range(n + 1)}) == 1
+    return tuple(int(c) for c in counts)
+
+
+# (isolated, joint, full) counts pin the random streams and the event logic;
+# the slow reference gives the same counts
 def test_escape_counts_pinned_2d_joint():
     _, geometry, model = preset_point("fig4", 0.5)
-    cfg = McConfig(geometry, model, trials=60, seed=11, n=60)
-    assert event_counts(cfg) == (19, 19, 41)
+    cfg = McConfig(geometry, model, trials=60, seed=11, rho=0.03)
+    assert event_counts(cfg) == reference_counts(cfg) == (21, 21, 39)
 
 
 def test_escape_counts_pinned_split_interior():
-    assert event_counts(split_interior_config()) == (6, 5, 174)
+    cfg = split_interior_config()
+    assert event_counts(cfg) == reference_counts(cfg) == (7, 5, 175)
 
 
 def test_escape_counts_pinned_3d_isolated():
     _, geometry, model = preset_point("fig9", 0.75)
-    cfg = McConfig(geometry, model, trials=60, seed=12, n=2000,
+    cfg = McConfig(geometry, model, trials=60, seed=12, rho=0.01,
                    event="isolated_only")
-    assert montecarlo._escape_counts(cfg) == 35
+    assert (montecarlo._escape_counts(cfg),) == reference_counts(cfg, graph=False) == (39,)
 
 
 def reach_layouts():
-    # layouts where the kernel's reach bound prunes differently: one open
-    # cone, a lopsided node 0, a cone across most of the strip, a reflection
-    # cap below C and a wide 3-D gap
+    # layouts where the kernel's reach box is cut differently: one open
+    # cone, a lopsided node 0, a cone across most of the strip, a channel
+    # with C = 2 and a wide 3-D gap
     _, fig4, fig4_model = preset_point("fig4", 0.5)
     wide_model = make_channel_model(K=4.0, beta=0.01, alpha=0.75, C=6)
     yield McConfig(dataclasses.replace(fig4, sides="left_only"),
-                   fig4_model, trials=60, seed=21, n=60)
+                   fig4_model, trials=60, seed=21, rho=0.03)
     yield McConfig(dataclasses.replace(fig4, x0=fig4.gap_left + 0.01),
-                   fig4_model, trials=60, seed=22, n=60)
+                   fig4_model, trials=60, seed=22, rho=0.03)
     yield McConfig(Geometry2D(w=10.0, L=100.0, eps=2.0, gap_center_x=50.0,
-                                          x0=50.0, y0=-1.5),
-                   wide_model, trials=100, seed=23, n=40)
+                              x0=50.0, y0=-1.5),
+                   wide_model, trials=100, seed=23, rho=0.04)
     yield McConfig(Geometry2D(w=20.0, L=100.0, eps=2.0, gap_center_x=50.0,
-                                          x0=50.0, y0=-1.0),
-                   wide_model, trials=200, seed=24, n=80, c_max=2)
+                              x0=50.0, y0=-1.0),
+                   make_channel_model(K=4.0, beta=0.01, alpha=0.75, C=2),
+                   trials=200, seed=24, rho=0.04)
     yield McConfig(Geometry3D(w=10.0, L=100.0, gap_radius=1.0,
-                                          gap_center=(50.0, 50.0), x0=50.0, y0=50.0,
-                                          z0=-2.0),
-                   make_channel_model(K=4.0, beta=1e-2, alpha=0.75, C=6),
-                   trials=40, seed=25, n=400)
+                              gap_center=(50.0, 50.0), x0=50.0, y0=50.0, z0=-2.0),
+                   wide_model, trials=40, seed=25, rho=0.004)
 
 
-# counts of a kernel that draws every coordinate and every pair graph
+# counts of a reference that draws every node and every pair graph
 @pytest.mark.parametrize("cfg, counts", zip(reach_layouts(), [
-    (40, 40, 20), (18, 18, 42), (12, 4, 50), (10, 10, 166), (14, 9, 23),
-]), ids=["left_only", "off_centre", "wide_gap", "c_max_2", "3d_wide_gap"])
+    (36, 36, 24), (23, 23, 37), (7, 2, 43), (10, 9, 175), (13, 11, 22),
+]),
+                         ids=["left_only", "off_centre", "wide_gap", "c_max_2", "3d_wide_gap"])
 def test_escape_counts_pinned_reach_layouts(cfg, counts):
-    assert event_counts(cfg) == counts
+    assert event_counts(cfg) == reference_counts(cfg) == counts
 
 
 @pytest.mark.parametrize("c_max", [0, 1, 2, 6])
@@ -117,7 +208,7 @@ def test_pair_graph_built_only_where_the_event_needs_it(monkeypatch):
     iso = montecarlo._escape_counts(dataclasses.replace(cfg, event="isolated_only"))
     assert len(calls) == 0
     montecarlo._escape_counts(dataclasses.replace(cfg, event="joint"))
-    assert len(calls) == iso == 6
+    assert len(calls) == iso == 7
     montecarlo._escape_counts(dataclasses.replace(cfg, event="full"))
     assert len(calls) == iso + cfg.trials
 
@@ -144,16 +235,15 @@ def test_keyed_poisson_counts_have_mean_and_variance_lam(lam):
 
 
 def block_layouts():
-    split = split_interior_config(trials=60)
-    yield split
-    yield dataclasses.replace(split, n=None, rho=0.04)
-    # a reach box inside the slab: c_max = 1 keeps it 11 from node 0
+    yield split_interior_config(trials=60)
+    # a reach box inside the slab: C = 1 keeps it 11 from node 0
     slab = Geometry3D(w=10.0, L=30.0, gap_radius=1.0, gap_center=(15.0, 15.0),
                       x0=15.0, y0=15.0, z0=-2.0)
-    yield McConfig(slab, split.channel, trials=40, seed=26, rho=0.005, c_max=1)
+    yield McConfig(slab, make_channel_model(K=4.0, beta=0.01, alpha=0.75, C=1),
+                   trials=40, seed=26, rho=0.005)
 
 
-@pytest.mark.parametrize("cfg", block_layouts(), ids=["n", "rho", "rho_3d"])
+@pytest.mark.parametrize("cfg", block_layouts(), ids=["rho", "rho_3d"])
 def test_blocks_leave_every_count_unchanged(cfg, monkeypatch):
     counts = []
     # one trial per block, then every trial in one block
@@ -168,7 +258,7 @@ def test_pair_graph_sees_a_poisson_population_over_the_domain(monkeypatch):
     # the reach box U covers 22 x 22 of the 30 x 30 floor; a graph trial
     # joins U's nodes with the domain population's nodes outside U, which
     # together are Poisson(rho V) and uniform over the slab
-    cfg = dataclasses.replace(list(block_layouts())[2], trials=300, event="full")
+    cfg = dataclasses.replace(list(block_layouts())[1], trials=300, event="full")
     seen = []
     graph_event = _kernels._graph_event
 
@@ -193,9 +283,9 @@ def test_scenario_must_name_the_geometry():
     # the slab fills w L^2: at fig9's rho it holds 16,000 nodes, where the
     # strip's w L would give 160
     _, slab, model = preset_point("fig9", 0.5)
-    assert McConfig(slab, model, trials=1, seed=1, rho=0.08).node_count() == 16000
-    assert McConfig(slab, model, trials=1, seed=1, rho=0.08,
-                    scenario="escape3d").node_count() == 16000
+    for scenario in (None, "escape3d"):
+        cfg = McConfig(slab, model, trials=1, seed=1, rho=0.08, scenario=scenario)
+        assert cfg.rho * cfg.geometry.domain_measure() == pytest.approx(16000)
     with pytest.raises(ValueError, match="disagrees"):
         McConfig(slab, model, trials=1, seed=1, rho=0.08, scenario="escape2d")
 
@@ -211,28 +301,50 @@ def test_unknown_event_rejected():
 
 def test_run_functions_report_kernel_counts():
     cfg = split_interior_config()
-    assert run_escape_isolation(cfg).event_count == 5
+    iso, joint, full = reference_counts(cfg)
+    assert run_escape_isolation(cfg).event_count == joint == 5
     # McConfig takes every kernel event: "full" counts single-component trials
-    assert run_escape_isolation(dataclasses.replace(cfg, event="full")).event_count == 174
+    assert run_escape_isolation(dataclasses.replace(cfg, event="full")).event_count == full
     cfg.event = "isolated_only"
     est = run_escape_isolation(cfg)
-    assert est.event_count == 6
-    assert est.p_hat == pytest.approx(6 / 200)
+    assert est.event_count == iso
+    assert est.p_hat == pytest.approx(iso / 200)
 
 
 def test_single_node_full_connectivity_is_not_isolated():
     # with one interior node the graph is connected exactly when node 0 links
-    cfg = split_interior_config(trials=300)
-    cfg.n = 1
-    iso, joint, full = event_counts(cfg)
-    assert iso == joint
-    assert iso + full == 300
-    assert 0 < full < 300
+    model = split_interior_config().channel
+    tab, inv_step = link_probability_table(model)
+    base = _kernels.trial_bases_np(13, np.arange(1, dtype=np.uint64))
+    coords = [np.array([50.0]), np.array([1.0])]
+
+    def holds(event, link0):
+        return _kernels._graph_event(base, coords, np.array(link0, dtype=np.int64),
+                                     event, tab, inv_step, model.b_coefficient(0), 1.0)
+
+    assert holds("joint", []) and holds("joint", [0])
+    assert not holds("full", []) and holds("full", [0])
+
+
+@pytest.mark.parametrize("rho", [None, -0.1, math.nan, math.inf, "0.1"])
+def test_escape_layout_needs_a_finite_rho(rho):
+    # a negative rho used to fail deep in np.repeat, after a RuntimeWarning
+    cfg = split_interior_config()
+    with pytest.raises(ValueError, match="rho must be a finite number >= 0"):
+        McConfig(cfg.geometry, cfg.channel, trials=1, seed=1, rho=rho)
+
+
+def test_transport_layout_takes_no_rho():
+    tg = cli._parse_geometry(presets.get_preset("fig13"))
+    model = split_interior_config().channel
+    McConfig(tg, model, trials=1, seed=1)
+    with pytest.raises(ValueError, match="takes no rho"):
+        McConfig(tg, model, trials=1, seed=1, rho=0.1)
 
 
 def test_empty_interior_counts_every_event():
     cfg = split_interior_config(trials=7)
-    cfg.n = 0
+    cfg.rho = 0.0
     assert event_counts(cfg) == (7, 7, 7)
 
 

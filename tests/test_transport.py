@@ -478,20 +478,6 @@ def test_run_transport_counts_do_not_depend_on_blocking(model, monkeypatch):
     assert pinned.per_c_attempts == (0,) * (model.C + 1)
 
 
-def test_run_transport_clips_c_max_to_channel(model):
-    # counts beyond model.C are unlinked, as in the escape Monte Carlo; a
-    # larger c_max used to raise from ChannelModel.b_coefficient
-    from keyhole.montecarlo import McConfig, run_transport
-    tg = opposite_geometry(y0=-0.5)
-    runs = [run_transport(McConfig(scenario="transport", geometry=tg, channel=model,
-                                   trials=20_000, seed=1, c_max=c_max,
-                                   region0=BENCH_BOX0, region1=BENCH_BOX1))
-            for c_max in (model.C, 10)]
-    assert runs[1].estimate.p_hat == runs[0].estimate.p_hat
-    assert runs[1].per_c_attempts == runs[0].per_c_attempts
-    assert runs[1].per_c_connects == runs[0].per_c_connects
-
-
 def test_averaged_connect_prob_degenerate_region(model):
     tg = same_side_geometry()
     with pytest.raises(ValueError):
