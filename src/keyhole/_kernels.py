@@ -70,13 +70,12 @@ def draws_np(base: np.ndarray, stream: int, index: np.ndarray) -> np.ndarray:
 
 
 def table_lookup_np(tab: np.ndarray, inv_step: float, b: np.ndarray) -> np.ndarray:
-    """Linear interpolation of the link-probability table; 0 beyond range."""
-    pos = b * inv_step
-    idx = pos.astype(np.int64)
-    idx_c = np.minimum(idx, tab.shape[0] - 2)
-    frac = pos - idx_c
-    val = tab[idx_c] + frac * (tab[idx_c + 1] - tab[idx_c])
-    return np.where(idx >= tab.shape[0] - 1, 0.0, val)
+    """Linear interpolation of the link-probability table; 0 from its end on."""
+    last = tab.shape[0] - 1
+    pos = np.minimum(b * inv_step, last)
+    idx = np.minimum(pos.astype(np.int64), last - 1)
+    val = tab[idx] + (pos - idx) * (tab[idx + 1] - tab[idx])
+    return np.where(pos >= last, 0.0, val)
 
 
 def y_image(c: int, y, w: float):
@@ -192,7 +191,8 @@ def escape_trials(seed, trials, dims, node0, cone_tan, b_coeffs, tab, inv_step,
     the strip or slab, the others along the walls. ``cone_tan`` maps each
     node's offsets from node 0 along the walls (dx in 2-D, dx and dy in 3-D)
     to its cone half-angle tangent. A link at unfolded distance r after c
-    reflections fires with the table value at ``b_coeffs[c] * r**power``.
+    reflections fires with the table value at ``b_coeffs[c] * r**power``,
+    0 where ``b_coeffs[c]`` is infinite.
     ``reach`` bounds how far along the walls from node 0 a node in a cone
     can sit (:func:`cone_reach`).
 
@@ -221,7 +221,6 @@ def escape_trials(seed, trials, dims, node0, cone_tan, b_coeffs, tab, inv_step,
     L, w = dims
     dim = len(node0)
     extent = np.array([L] * (dim - 1) + [w], dtype=np.float64)
-    b_coeffs = np.asarray(b_coeffs, dtype=np.float64)
     c_max = len(b_coeffs) - 1
     bases = trial_bases_np(seed, np.arange(trials, dtype=np.uint64))
     along = np.asarray(node0[:-1], dtype=np.float64)

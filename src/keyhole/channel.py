@@ -1,14 +1,19 @@
 """Pair-connection probability under Rician fading with reflection losses.
 
-A link over unfolded distance r whose signal bounced c times off the walls
-connects with probability H = Q1(sqrt(2K), sqrt(2(K+1) beta r^eta alpha^-c)).
-The approximate form replaces Q1 with the fitted surrogate, giving
-H ~ exp(-lambda_c * r^(mu*eta/2)) with lambda_c = e^nu (2(K+1) beta alpha^-c)^(mu/2).
+This module owns the per-count link law: a link over unfolded distance r
+after c reflections connects with probability H = Q1(sqrt(2K), b_c r^(eta/2)),
+b_c = sqrt(2(K+1) beta alpha^-c), or by the fitted surrogate exp(-lambda_c
+r^(mu*eta/2)), lambda_c = e^nu b_c^mu, whose mu the interior-isolation terms
+pin to 2. At alpha = 0 no reflected link survives: the coefficients of c > 0
+are inf and H = 0. Each coefficient is tabulated once for c = 0..C and takes
+a count or an integer array of counts.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,10 +36,10 @@ class ChannelModel:
             raise ValueError("beta must be positive and finite")
         if not (0.0 <= self.alpha <= 1.0):
             raise ValueError("alpha must lie in [0, 1]")
-        if self.eta < 2.0:
-            raise ValueError("path-loss exponent eta must be >= 2")
-        if self.C < 0:
-            raise ValueError("C must be non-negative")
+        if not (2.0 <= self.eta < math.inf):
+            raise ValueError("path-loss exponent eta must be finite and >= 2")
+        if not isinstance(self.C, numbers.Integral) or self.C < 0:
+            raise ValueError("C must be a non-negative integer")
         if self.K < 0.0 or not math.isfinite(self.K):
             raise ValueError("K must be finite and non-negative")
 
@@ -42,34 +47,65 @@ class ChannelModel:
     def a_parameter(self) -> float:
         return math.sqrt(2.0 * self.K)
 
-    def b_coefficient(self, c: int) -> float:
+    def b_coefficient(self, c):
         """sqrt(2(K+1) beta alpha^-c); the Marcum argument is b = coeff * r^(eta/2)."""
-        self._check_c(c)
-        if self.alpha == 0.0 and c > 0:
-            return math.inf
-        return math.sqrt(2.0 * (self.K + 1.0) * self.beta * self.alpha ** (-c))
+        return self._per_count(self._b_table, c)
 
-    def lambda_coeff(self, c: int) -> float:
+    def lambda_coeff(self, c):
         """Decay coefficient of the surrogate form exp(-lambda_c r^(mu*eta/2))."""
-        self._require_fit()
-        self._check_c(c)
-        if self.alpha == 0.0 and c > 0:
-            return math.inf
-        base = 2.0 * (self.K + 1.0) * self.beta * self.alpha ** (-c)
-        return math.exp(self.fit.nu) * base ** (0.5 * self.fit.mu)
+        return self._per_count(self._lambda_table, c)
+
+    def gaussian_coeff(self, c):
+        """Decay coefficient of the surrogate with mu pinned to 2, exp(-lambda_c r^2)."""
+        return self._per_count(self._gaussian_table, c)
 
     def radial_exponent(self) -> float:
         """Exponent of r in the surrogate link probability."""
-        self._require_fit()
-        return 0.5 * self.fit.mu * self.eta
+        return 0.5 * self._fit().mu * self.eta
 
-    def _check_c(self, c: int) -> None:
-        if c < 0 or c > self.C:
-            raise ValueError(f"reflection count {c} outside [0, {self.C}]")
+    @functools.cached_property
+    def _loss_table(self) -> tuple:
+        """2(K+1) beta alpha^-c, the squared Marcum coefficient; inf at alpha = 0, c > 0."""
+        return tuple(math.inf if self.alpha == 0.0 and c > 0
+                     else 2.0 * (self.K + 1.0) * self.beta * self.alpha ** (-c)
+                     for c in range(self.C + 1))
 
-    def _require_fit(self) -> None:
+    @functools.cached_property
+    def _b_table(self) -> np.ndarray:
+        return np.sqrt(self._loss_table)
+
+    @functools.cached_property
+    def _lambda_table(self) -> np.ndarray:
+        fit = self._fit()
+        return np.array([math.exp(fit.nu) * loss ** (0.5 * fit.mu) for loss in self._loss_table])
+
+    @functools.cached_property
+    def _gaussian_table(self) -> np.ndarray:
+        if self.eta != 2.0:
+            raise ValueError("the Gaussian link surrogate is derived for eta = 2")
+        nu2 = fit_exponential_approx(self.K, "fixed_two").nu2
+        lam_hat = math.exp(nu2) * 2.0 * (self.K + 1.0) * self.beta
+        # alpha^-c by NumPy's power, as the bridge term has always taken it;
+        # the loss table's Python pow rounds some apart (alpha = 0.55, c = 1)
+        with np.errstate(divide="ignore"):
+            return lam_hat * self.alpha ** -np.arange(self.C + 1.0)
+
+    def _per_count(self, table: np.ndarray, c):
+        """``table[c]`` for a count c or an integer array of counts, each in [0, C]."""
+        if type(c) is int and 0 <= c <= self.C:      # the common call stays cheap
+            return table.item(c)
+        c = np.asarray(c)
+        if c.dtype.kind not in "iu":
+            raise TypeError(f"reflection counts must be integers, not {c.dtype}")
+        if c.size and (c.min() < 0 or c.max() > self.C):
+            bad = c[(c < 0) | (c > self.C)].flat[0]
+            raise ValueError(f"reflection count {bad} outside [0, {self.C}]")
+        return table[c]
+
+    def _fit(self) -> ApproxFit:
         if self.fit is None:
             raise ValueError("ChannelModel.fit is not populated")
+        return self.fit
 
 
 def make_channel_model(K: float, beta: float, eta: float = 2.0,
@@ -79,27 +115,26 @@ def make_channel_model(K: float, beta: float, eta: float = 2.0,
                         fit=fit_exponential_approx(K, "free"))
 
 
-def pair_connect_prob_exact(r, c: int, model: ChannelModel):
-    """Connection probability from the Marcum Q form; r > 0 required."""
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr <= 0.0):
+def _distances(r) -> np.ndarray:
+    r = np.asarray(r, dtype=float)
+    if np.any(r <= 0.0):
         raise ValueError("distance r must be positive")
-    coeff = model.b_coefficient(c)
-    if math.isinf(coeff):
-        return 0.0 if np.ndim(r) == 0 else np.zeros_like(r_arr)
-    b = coeff * r_arr ** (0.5 * model.eta)
-    return marcum_q1(model.a_parameter, b)
+    return r
 
 
-def pair_connect_prob_approx(r, c: int, model: ChannelModel):
-    """Connection probability from the exponential surrogate."""
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr <= 0.0):
-        raise ValueError("distance r must be positive")
-    lam = model.lambda_coeff(c)
-    if math.isinf(lam):
-        return 0.0 if np.ndim(r) == 0 else np.zeros_like(r_arr)
-    out = np.exp(-lam * r_arr ** model.radial_exponent())
-    if np.ndim(r) == 0:
-        return float(out)
-    return out
+def pair_connect_prob_exact(r, c, model: ChannelModel):
+    """Connection probability from the Marcum Q form; r > 0 required. ``r``
+    broadcasts against ``c``, a count or an integer array of counts; an
+    infinite coefficient (alpha = 0, c > 0) gives 0 with no Marcum value."""
+    b = np.asarray(model.b_coefficient(c) * _distances(r) ** (0.5 * model.eta))
+    out = np.zeros(b.shape)
+    linked = b < math.inf
+    out[linked] = marcum_q1(model.a_parameter, b[linked])
+    return float(out) if out.ndim == 0 else out
+
+
+def pair_connect_prob_approx(r, c, model: ChannelModel):
+    """Connection probability from the exponential surrogate; ``r`` and ``c``
+    broadcast as in :func:`pair_connect_prob_exact`, and inf gives exp(-inf) = 0."""
+    out = np.exp(-model.lambda_coeff(c) * _distances(r) ** model.radial_exponent())
+    return float(out) if np.ndim(out) == 0 else out

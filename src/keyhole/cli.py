@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import presets as presets_mod
-from .channel import make_channel_model
+from .channel import ChannelModel, make_channel_model
 from .escape3d import Geometry3D
 from .geometry2d import Geometry2D
 from .mass2d import mass
@@ -57,7 +57,7 @@ def load_config(source: str) -> dict:
     path = Path(source)
     if path.exists():
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{source}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
@@ -106,13 +106,12 @@ def _validate_sweep(cfg: dict, geometry) -> tuple:
 
 
 def _sweep_row(cfg: dict, geometry, rho, param: str, value: float) -> dict:
-    ch = dict(cfg["channel"])
+    channel = dict(cfg["channel"])
     if param == "alpha":
-        ch["alpha"] = value
+        channel["alpha"] = value
     else:
         geometry = geometry.swept(param, value)
-    model = make_channel_model(K=ch["K"], beta=ch["beta"], eta=ch.get("eta", 2.0),
-                               alpha=ch["alpha"], C=ch.get("C", 6))
+    model = make_channel_model(**channel)
     mc_cfg = cfg.get("mc", {})
     try:
         closed, status = mass(geometry, model, "closed_form").total, "ok"
@@ -139,10 +138,11 @@ def run_experiment(source, output_path=None) -> tuple:
     """Execute a sweep config; returns (rows, csv_path).
 
     The whole config is checked before the first row: a missing or unknown
-    key raises ConfigError. A row whose layout or computation fails at its
-    sweep value is written with an ``error:`` status instead. A row whose
-    layout derives no closed form keeps its other columns, with
-    ``mass_closed`` NaN and the reason in a ``no closed form:`` status.
+    key, or an invalid channel or ``rho``, raises ConfigError. A row whose
+    layout or computation fails at its sweep value, a swept alpha included,
+    is written with an ``error:`` status instead. A row whose layout derives
+    no closed form keeps its other columns, with ``mass_closed`` NaN and the
+    reason in a ``no closed form:`` status.
     """
     cfg = load_config(source) if isinstance(source, (str, Path)) else source
     if cfg.get("schema", "keyhole-config-v1") != "keyhole-config-v1":
@@ -152,6 +152,11 @@ def run_experiment(source, output_path=None) -> tuple:
     channel = _require(cfg, "channel")
     for key in ("K", "beta") if param == "alpha" else ("K", "beta", "alpha"):
         _require(channel, key)
+    # the channel's fields are ChannelModel's; a swept alpha is checked row by row
+    try:
+        ChannelModel(**{**channel, "alpha": 1.0} if param == "alpha" else channel)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"channel: {exc}") from exc
     mc = cfg.get("mc", {})
     for key in ("trials", "seed") if mc.get("enabled") else ():
         _require(mc, key)
@@ -183,7 +188,7 @@ def run_experiment(source, output_path=None) -> tuple:
     lines = [CSV_SCHEMA, ",".join(CSV_COLUMNS)]
     for row in rows:
         lines.append(",".join(_fmt(row[col]) for col in CSV_COLUMNS))
-    output_path.write_text("\n".join(lines) + "\n")
+    output_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return rows, output_path
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy import special
@@ -30,7 +30,7 @@ from .channel import ChannelModel
 from .geometry2d import Geometry2D, line_radius, region_bounds
 # integrate_adaptive is unused here but stays bound: perfbench's tracer test
 # checks that it is patched as mass2d.integrate_adaptive
-from .specfun import fit_exponential_approx, integrate_adaptive, lower_inc_gamma  # noqa: F401
+from .specfun import integrate_adaptive, lower_inc_gamma  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -50,25 +50,16 @@ class MassBreakdown:
 
 @dataclass
 class ClusterInputs:
-    """Node density, count and domain measure; any missing one is derived."""
+    """Node density ``rho`` of the interior and its domain measure ``V``."""
 
-    rho: Optional[float] = None
-    N: Optional[float] = None
-    V: Optional[float] = None
+    rho: float
+    V: float
 
     def __post_init__(self):
         if self.V is None or self.V <= 0.0:
             raise ValueError("domain measure V must be given and positive")
-        if self.rho is None and self.N is None:
-            raise ValueError("give at least one of rho and N")
-        if self.rho is None:
-            self.rho = self.N / self.V
-        elif self.N is None:
-            self.N = self.rho * self.V
-        elif abs(self.rho - self.N / self.V) > 1e-12 * max(1.0, abs(self.rho)):
-            raise ValueError("inconsistent rho, N, V")
-        if self.rho < 0.0:
-            raise ValueError("rho must be non-negative")
+        if self.rho is None or self.rho < 0.0:
+            raise ValueError("rho must be given and non-negative")
 
 
 _GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -94,11 +85,12 @@ def _angle_nodes(regions, nodes):
 
 
 def _live(regions, model: ChannelModel):
-    """Indices of the regions that can carry mass: non-empty, of positive
-    angular width, and linked (reflected links vanish at alpha = 0)."""
-    return [i for i, reg in enumerate(regions)
-            if not reg.empty and reg.phi_max > reg.phi_min
-            and math.isfinite(model.lambda_coeff(reg.c))]
+    """Indices and decay coefficients of the regions that can carry mass: non-empty,
+    of positive width and linked (reflected links vanish at alpha = 0)."""
+    lam = model.lambda_coeff(np.array([reg.c for reg in regions], dtype=np.int64))
+    live = [i for i, reg in enumerate(regions)
+            if not reg.empty and reg.phi_max > reg.phi_min and lam[i] < math.inf]
+    return live, lam[live]
 
 
 def region_mass(regions, model: ChannelModel, dim: int = 2) -> np.ndarray:
@@ -115,12 +107,11 @@ def region_mass(regions, model: ChannelModel, dim: int = 2) -> np.ndarray:
     reflected regions at alpha = 0, have mass 0.
     """
     out = np.zeros(len(regions))
-    live = _live(regions, model)
+    live, lam = _live(regions, model)
     if not live:
         return out
     p = model.radial_exponent()
     s = dim / p
-    lam = np.array([model.lambda_coeff(regions[i].c) for i in live])
     phi, half, r_lo, r_hi = _angle_nodes([regions[i] for i in live], _GL16_NODES)
     x = lam[:, None] * np.stack([r_hi, r_lo]) ** p
     # far out both lower gamma values sit near Gamma(s) and their
@@ -168,13 +159,12 @@ def region_expansion(regions, model: ChannelModel, dim: int, about) -> np.ndarra
     if model.eta != 2.0:
         raise ValueError("the closed form is derived for eta = 2")
     out = np.zeros(len(regions))
-    live = _live(regions, model)
+    live, lam = _live(regions, model)
     if not live:
         return out
     p = model.radial_exponent()
     s = dim / p
     regs = [regions[i] for i in live]
-    lam = np.array([model.lambda_coeff(reg.c) for reg in regs])
     # rows (inner, outer) of each bound's expansion angle and line
     phi_c = np.asarray(about, dtype=float)[live].T
     pl, cn, sn = _bound_lines(regs).transpose(1, 0, 2)
@@ -239,14 +229,6 @@ def multi_external_bridge_prob(p_single: float, M: int) -> float:
 # Interior-node isolation terms (first-order correction to full connectivity)
 # ---------------------------------------------------------------------------
 
-def _fixed_two_lambda(model: ChannelModel) -> float:
-    """Decay coefficient of the Gaussian link surrogate (exponent pinned to 2)."""
-    if model.eta != 2.0:
-        raise ValueError("interior isolation terms are derived for eta = 2")
-    fit2 = fit_exponential_approx(model.K, "fixed_two")
-    return math.exp(fit2.nu2) * 2.0 * (model.K + 1.0) * model.beta
-
-
 def _erf_box_factor(t, length: float, lam_hat: float):
     rt = math.sqrt(lam_hat)
     return special.erf((length - t) * rt) + special.erf(t * rt)
@@ -295,7 +277,7 @@ def _interior_setup(g: Geometry2D, model: ChannelModel, rho: float):
     decay, the curvatures of the exponent rho * pi/(4 lam_hat) Ex(x) Ey(y)
     about the domain centre along x and y, and minus its value there.
     """
-    lam_hat = _fixed_two_lambda(model)
+    lam_hat = model.gaussian_coeff(0)
     L, w = g.L, g.w
     rt = math.sqrt(lam_hat)
     erf_l = math.erf(0.5 * L * rt)
@@ -320,7 +302,7 @@ def internal_isolation_first_term(g: Geometry2D, model: ChannelModel,
     that dominate at high density.
     """
     rho = inputs.rho
-    lam_hat = _fixed_two_lambda(model)
+    lam_hat = model.gaussian_coeff(0)
     if rho == 0.0:
         return 0.0
     # the outer integral is a matrix product on the graded tensor rule
@@ -345,25 +327,26 @@ def internal_isolation_bridge_term(g: Geometry2D, model: ChannelModel,
     region, its boundary layer is a layer in angle too.
     """
     rho = inputs.rho
-    lam_hat, sigma_x, sigma_y, log_pref = _interior_setup(g, model, rho)
-    # (side sign, region) for each side with an escape cone: the left side
-    # runs toward -x, the right toward +x; reflected links vanish at alpha = 0
+    _, sigma_x, sigma_y, log_pref = _interior_setup(g, model, rho)
+    # the Gaussian decay of each count; reflected links vanish at alpha = 0
+    decay = model.gaussian_coeff(np.arange(min(_BRIDGE_C_MAX, model.C) + 1))
+    # (side sign, region) for each linked count and each side with an escape
+    # cone: the left side runs toward -x, the right toward +x
     parts = [(sign, region_bounds(g, c, th))
-             for c in range(min(_BRIDGE_C_MAX, model.C) + 1 if model.alpha > 0.0 else 1)
+             for c in range(decay.size) if decay[c] < math.inf
              for sign, th in zip((-1.0, 1.0), g.side_thetas()) if th > 0.0]
     if rho == 0.0 or not parts:
         return 0.0
     signs, regions = zip(*parts)
-    c = np.array([reg.c for reg in regions], dtype=float)
-    lam_bar = lam_hat * model.alpha ** -c
+    c = np.array([reg.c for reg in regions])
     # in unfolded offsets (u, v) from node 0 the integrand is exp(log_pref
-    # - lam_bar (u^2 + v^2) + sigma_x (u - cx)^2 + sigma_y (v - cy)^2): the
+    # - lam (u^2 + v^2) + sigma_x (u - cx)^2 + sigma_y (v - cy)^2): the
     # domain centre sits at cx across and, as unfolding maps y = w/2 to
     # height (c + 1/2) w, at cy up
     cx = np.array(signs) * (0.5 * g.L - g.x0)
     cy = g.abs_y0 + (c + 0.5) * g.w
     phi, half, r_lo, r_hi = _angle_nodes(regions, _BRIDGE_ANGLE_NODES)
-    cos, sin, lam = np.cos(phi), np.sin(phi), lam_bar[:, None]
+    cos, sin, lam = np.cos(phi), np.sin(phi), decay[c][:, None]
     # along each ray r = r_lo + width t the exponent is e0 + e1 t + e2 t^2,
     # with log_pref inside so it stays representable at high density
     width = r_hi - r_lo

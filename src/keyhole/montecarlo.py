@@ -6,7 +6,8 @@ Interior nodes of the escape layouts form a Poisson process of intensity
 reflection count up to the channel's ``C`` is simulated. Links are
 Bernoulli draws with the exact Marcum-Q connection probability (tabulated
 densely enough that interpolation error is far below Monte Carlo noise;
-the exponential surrogate is never used here). Draws are counter based, so
+the exponential surrogate is never used here) at the Marcum coefficients of
+``channel``, which owns the per-count link law. Draws are counter based, so
 estimates are reproducible bit for bit for a given seed, regardless of
 execution order.
 """
@@ -23,7 +24,7 @@ import numpy as np
 from . import _kernels
 from .channel import ChannelModel, pair_connect_prob_exact
 from .specfun import marcum_q1
-from .transport import link_probs_by_count, min_paths
+from .transport import min_paths
 
 LINK_TABLE_POINTS = 1 << 17
 
@@ -97,17 +98,13 @@ def _link_table(a: float) -> Tuple[np.ndarray, float]:
 def _escape_counts(cfg: McConfig) -> int:
     """Trials of ``cfg`` in which ``cfg.event`` ("isolated_only", "joint" or
     "full") holds."""
-    model = cfg.channel
-    g = cfg.geometry
+    model, g = cfg.channel, cfg.geometry
     tab, inv_step = link_probability_table(model)
-    b_coeffs = np.array([model.b_coefficient(c) for c in range(model.C + 1)])
     node0, cone_tan, depth, tan_max = g.mc_setup()
     reach = _kernels.cone_reach(g.w, depth, tan_max, model.C)
-    # infinite coefficients (alpha = 0) map far beyond the table, giving H = 0
-    b_coeffs = np.where(np.isinf(b_coeffs), 1e9, b_coeffs)
     return _kernels.escape_trials(cfg.seed, cfg.trials, (g.L, g.w), node0, cone_tan,
-                                  b_coeffs, tab, inv_step, cfg.event, reach,
-                                  0.5 * model.eta, cfg.rho)
+                                  model.b_coefficient(np.arange(model.C + 1)), tab, inv_step,
+                                  cfg.event, reach, 0.5 * model.eta, cfg.rho)
 
 
 def run_escape_isolation(cfg: McConfig) -> McEstimate:
@@ -146,23 +143,18 @@ def run_transport(cfg: McConfig) -> TransportEstimate:
 
     Node positions are drawn uniformly from ``region0``/``region1`` boxes
     (degenerate boxes pin a node). The link fires with the exact Marcum
-    probability of the minimal feasible path. The path comes from
-    ``transport.min_paths`` and the link probability from
-    ``transport.link_probs_by_count``, the code ``averaged_connect_prob``
-    runs, so the two estimates differ only by sampling and quadrature error.
-    Trials are also stratified by that minimal reflection count. They run
-    in blocks of ``_kernels.NODE_BUDGET`` trials; every draw is keyed by its
-    trial, stream and index, so the counts do not depend on the blocking.
+    probability of the minimal feasible path: ``transport.min_paths`` and
+    one ``pair_connect_prob_exact`` call per block on the pairs with a path,
+    as in ``averaged_connect_prob``, so the two estimates differ only by
+    sampling and quadrature error. Trials are also stratified by that
+    minimal reflection count. They run in blocks of ``_kernels.NODE_BUDGET``
+    trials; every draw is keyed by its trial, stream and index, so the
+    counts do not depend on the blocking.
     """
-    tg = cfg.geometry
-    model = cfg.channel
-    c_max = model.C
+    tg, model, c_max = cfg.geometry, cfg.channel, cfg.channel.C
 
     region0 = cfg.region0 or (tg.node0[0], tg.node0[0], tg.node0[1], tg.node0[1])
     region1 = cfg.region1 or (tg.node1[0], tg.node1[0], tg.node1[1], tg.node1[1])
-
-    def link_prob(r, c):
-        return pair_connect_prob_exact(r, c, model)
 
     # tallies indexed by count + 1, so slot 0 holds the pairs with no path
     attempts = np.zeros(c_max + 2, dtype=np.int64)
@@ -182,7 +174,9 @@ def run_transport(cfg: McConfig) -> TransportEstimate:
         x0s, y0s = sample_box(_kernels.STREAM_POSITION, region0)
         x1s, y1s = sample_box(_kernels.STREAM_NODE1, region1)
         c_vals, r_vals = min_paths(tg, x0s, y0s, x1s, y1s, c_max)
-        h = link_probs_by_count(c_vals, r_vals, link_prob)
+        h = np.zeros(trials.size)
+        path = c_vals >= 0
+        h[path] = pair_connect_prob_exact(r_vals[path], c_vals[path], model)
         connected = _kernels.draws_np(base, _kernels.STREAM_LINK, index0) < h
         attempts += np.bincount(c_vals + 1, minlength=c_max + 2)
         connects += np.bincount(c_vals[connected] + 1, minlength=c_max + 2)

@@ -3,7 +3,8 @@
 With gaps on opposite walls a signal needs an even number of reflections to
 cross; with both gaps on the same wall it needs an odd number. Masses are
 integrals of the pair-connection surrogate over the reachable region beyond
-the receiving gap, per reflection count of the admissible parity.
+the receiving gap, per reflection count of the admissible parity; the link
+law of each count, its reflection loss included, comes from ``channel``.
 ``TransportGeometry`` answers the layout questions of ``geometry2d`` but has
 no node population, escape trials or tracer.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Optional, Tuple
+from typing import ClassVar, Optional, Tuple
 
 import numpy as np
 
@@ -230,35 +231,18 @@ def min_paths(tg: TransportGeometry, x0, y0, x1, y1,
     return c_vals.reshape(shape), r_vals.reshape(shape)
 
 
-def link_probs_by_count(c_vals: np.ndarray, r_vals: np.ndarray,
-                        link_prob: Callable) -> np.ndarray:
-    """``link_prob(r, c)`` at each pair's minimal path, 0 where there is none.
-
-    ``link_prob`` is called once per distinct count with the array of that
-    count's distances; a scalar return broadcasts over them.
-    """
-    c_flat, r_flat = c_vals.ravel(), r_vals.ravel()
-    h = np.zeros(c_flat.size)
-    for c in np.flatnonzero(np.bincount(c_flat + 1)[1:]):
-        sel = np.flatnonzero(c_flat == c)
-        h[sel] = link_prob(r_flat.take(sel), int(c))
-    return h.reshape(c_vals.shape)
-
-
 def averaged_connect_prob(tg: TransportGeometry, model: ChannelModel,
                           region0: Tuple[float, float, float, float],
                           region1: Tuple[float, float, float, float],
-                          n_outer: int = 12, n_inner: int = 24,
-                          link_prob: Optional[Callable] = None) -> float:
+                          n_outer: int = 12, n_inner: int = 24) -> float:
     """Pair connection probability averaged over both node regions.
 
     Regions are axis-aligned boxes (x_lo, x_hi, y_lo, y_hi). The average is
     a Gauss-Legendre double quadrature, of order ``n_outer`` per axis over
-    region0 and ``n_inner`` over region1, of the minimal-path link
-    probability: by default the exact Marcum form at the minimal feasible
-    count. All node pairs go through one ``min_paths`` call, and
-    ``link_prob(r, c)`` is called once per distinct count c with the array
-    of that count's distances r; a scalar return broadcasts over them.
+    region0 and ``n_inner`` over region1, of the exact Marcum link
+    probability at the minimal feasible count. All node pairs go through one
+    ``min_paths`` call, and the pairs with a path through one
+    ``pair_connect_prob_exact`` call.
 
     The integrand jumps where a count becomes feasible, so Gauss-Legendre
     converges slowly: on the opposite-gap boxes of the tests the default
@@ -268,10 +252,6 @@ def averaged_connect_prob(tg: TransportGeometry, model: ChannelModel,
     for name, box in (("region0", region0), ("region1", region1)):
         if not (box[1] > box[0] and box[3] > box[2]):
             raise ValueError(f"{name} must have positive area")
-
-    if link_prob is None:
-        def link_prob(r, c):
-            return pair_connect_prob_exact(r, c, model)
 
     def grid(box, order):
         # tensor Gauss-Legendre nodes over a box, x-major, with their weights
@@ -285,7 +265,9 @@ def averaged_connect_prob(tg: TransportGeometry, model: ChannelModel,
     px, py, wp, jac0 = grid(region0, n_outer)
     qx, qy, wq, jac1 = grid(region1, n_inner)
     c_vals, r_vals = min_paths(tg, px[:, None], py[:, None], qx, qy, model.C)
-    h = link_probs_by_count(c_vals, r_vals, link_prob)
+    h = np.zeros(c_vals.shape)
+    path = c_vals >= 0
+    h[path] = pair_connect_prob_exact(r_vals[path], c_vals[path], model)
     total = wp @ (h @ wq) * (jac0 * jac1)
     v0 = (region0[1] - region0[0]) * (region0[3] - region0[2])
     v1 = (region1[1] - region1[0]) * (region1[3] - region1[2])

@@ -56,7 +56,7 @@ def test_fit_marcum_prints_fit_and_writes_no_file(tmp_path, monkeypatch, capsys)
 def test_trace_rejects_bad_input(geometry, origin, tmp_path, capsys):
     if isinstance(geometry, dict):
         path = tmp_path / "geometry.json"
-        path.write_text(json.dumps(geometry))
+        path.write_text(json.dumps(geometry), encoding="utf-8")
         geometry = str(path)
     argv = ["trace", "--geometry", geometry, "--origin", *origin, "--angle", "0.01"]
     assert cli.main(argv) == 2
@@ -102,7 +102,7 @@ def test_sweep_parameter_the_scenario_lacks_is_rejected(name, param, tmp_path, c
     cfg["mc"]["enabled"] = False
     cfg["sweep"] = {"parameter": param, "values": [-1.0, -3.0]}
     path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(cfg), encoding="utf-8")
     assert cli.main(["run", str(path), "--output", str(tmp_path / "out.csv")]) == 2
     assert capsys.readouterr().err.startswith("config error: sweep.parameter")
     assert not (tmp_path / "out.csv").exists()
@@ -124,7 +124,7 @@ def test_bad_config_key_is_a_config_error_before_any_row(edit, message, tmp_path
     else:
         cfg["mc"] = {"enabled": True, "seed": 1}
     path = tmp_path / "fig5.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(cfg), encoding="utf-8")
     assert cli.main(["run", str(path), "--output", str(tmp_path / "out.csv")]) == 2
     assert capsys.readouterr().err.startswith(message)
     assert not (tmp_path / "out.csv").exists()
@@ -139,6 +139,32 @@ def test_invalid_rho_is_a_config_error_before_any_row(rho, tmp_path):
     with pytest.raises(cli.ConfigError, match="rho must be a finite number >= 0"):
         cli.run_experiment(cfg, tmp_path / "out.csv")
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("eta", math.nan), ("eta", math.inf), ("C", 2.5), ("beta", 0.0),
+])
+def test_invalid_channel_is_a_config_error_before_any_row(field, value, tmp_path, capsys):
+    # fig4 with a NaN eta or C = 2.5 used to write 11 error rows and exit 0
+    cfg = presets.get_preset("fig4")
+    cfg["mc"]["enabled"] = False
+    cfg["channel"][field] = value
+    path = tmp_path / "fig4.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert cli.main(["run", str(path), "--output", str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: channel:") and field in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_swept_alpha_is_checked_row_by_row(tmp_path):
+    cfg = presets.get_preset("fig4")
+    cfg["mc"]["enabled"] = False
+    cfg["channel"]["alpha"] = 7.0            # the sweep replaces it
+    cfg["sweep"]["values"] = [0.5, 1.5]
+    rows, _ = cli.run_experiment(cfg, tmp_path / "fig4.csv")
+    assert rows[0]["status"] == "ok"
+    assert rows[1]["status"] == "error: alpha must lie in [0, 1]"
 
 
 def test_geometry_invalid_at_one_sweep_value_is_an_error_row(tmp_path):

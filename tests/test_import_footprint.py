@@ -42,7 +42,7 @@ def test_heavy_scipy_modules_load_only_where_a_graph_is_built():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", SCRIPT], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
+                          text=True, encoding="utf-8", timeout=120, check=True)
     out = json.loads(done.stdout.strip().splitlines()[-1])
     # at import, scipy.optimize adds about 24 MB of peak RSS and scipy.stats 46 MB
     assert out["before"] == []

@@ -171,15 +171,14 @@ def test_isolation_log_linear_in_gap(model):
     assert 1.0 - ss_res / ss_tot > 0.99
 
 
-def test_cluster_inputs_derivation():
-    ci = ClusterInputs(rho=0.1, V=2000.0)
-    assert ci.N == pytest.approx(200.0)
-    ci2 = ClusterInputs(N=150.0, V=1500.0)
-    assert ci2.rho == pytest.approx(0.1)
-    with pytest.raises(ValueError):
-        ClusterInputs(rho=0.1, N=100.0, V=2000.0)
-    with pytest.raises(ValueError):
-        ClusterInputs(V=2000.0)
+def test_cluster_inputs_validation():
+    assert ClusterInputs(rho=0.0, V=10.0).rho == 0.0
+    with pytest.raises(ValueError, match="V"):
+        ClusterInputs(rho=0.1, V=0.0)
+    with pytest.raises(ValueError, match="rho"):
+        ClusterInputs(rho=-0.1, V=2000.0)
+    with pytest.raises(TypeError):
+        ClusterInputs(N=100.0, V=2000.0)          # the node count is rho V
 
 
 def test_multi_external_bridge():
@@ -209,7 +208,7 @@ def test_internal_first_term_oracles_agree_small_domain(model):
     # is small to keep it fast
     g = make_geometry(w=8.0, L=14.0, gap_center_x=7.0, x0=7.0)
     rho = 0.05
-    lam_hat = mass2d._fixed_two_lambda(model)
+    lam_hat = model.gaussian_coeff(0)
 
     def profile(t, length):
         return integrate.quad(lambda u: math.exp(-lam_hat * (u - t) ** 2), 0.0, length,

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -50,8 +51,7 @@ def reference_counts(cfg, graph=True):
     reach = _kernels.cone_reach(g.w, depth, tan_max, model.C)
     tab, inv_step = link_probability_table(model)
     power = 0.5 * model.eta
-    b = [model.b_coefficient(c) for c in range(model.C + 1)]
-    b = np.array([1e9 if math.isinf(x) else x for x in b])
+    b = model.b_coefficient(np.arange(model.C + 1))
     dim = len(node0)
     extent = np.array([g.L] * (dim - 1) + [g.w])
     lo = np.array([max(p - reach, 0.0) for p in node0[:-1]] + [0.0])
@@ -174,6 +174,32 @@ def reach_layouts():
                          ids=["left_only", "off_centre", "wide_gap", "c_max_2", "3d_wide_gap"])
 def test_escape_counts_pinned_reach_layouts(cfg, counts):
     assert event_counts(cfg) == reference_counts(cfg) == counts
+
+
+@pytest.mark.parametrize("cfg, counts", [
+    (split_interior_config(), (7, 5, 175)),
+    (next(reach_layouts()), (37, 37, 23)),      # (36, 36, 24) at alpha = 0.5
+], ids=["split_interior", "left_only"])
+def test_escape_counts_pinned_at_alpha_zero(cfg, counts):
+    # no reflected link survives: the infinite coefficients of c > 0 read
+    # past the link table's end, in the kernel and in the reference alike
+    model = dataclasses.replace(cfg.channel, alpha=0.0)
+    assert np.all(np.isinf(model.b_coefficient(np.arange(1, model.C + 1))))
+    cfg = dataclasses.replace(cfg, channel=model)
+    assert event_counts(cfg) == reference_counts(cfg) == counts
+
+
+def test_table_lookup_reads_zero_at_and_past_the_end():
+    tab, _ = link_probability_table(split_interior_config().channel)
+    last = tab.size - 1.0
+    # with a unit step the argument is the table position
+    pos = np.array([0.0, 0.5, last - 0.5, last, last + 0.25, 1e300, math.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _kernels.table_lookup_np(tab, 1.0, pos)
+    assert got[0] == tab[0] and got[1] == 0.5 * (tab[0] + tab[1])
+    assert got[2] == tab[-2] + 0.5 * (tab[-1] - tab[-2])
+    assert np.all(got[3:] == 0.0)
 
 
 @pytest.mark.parametrize("c_max", [0, 1, 2, 6])

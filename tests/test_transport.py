@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -374,16 +375,16 @@ def test_geometry_validation():
                           node0=(15.15, -2.0), node1=(14.65, 5.0))
 
 
-def test_averaged_connect_prob_saturates(model):
+def test_averaged_connect_prob_saturates():
+    # beta = 1e-20 with no reflection loss makes every link with a path
+    # certain, so the average is the share of pairs with a path
     tg = same_side_geometry()
+    certain = make_channel_model(K=4.0, beta=1e-20, alpha=1.0, C=6)
     region0 = (14.0, 16.0, -1.0, -0.1)
     region1 = (23.0, 26.0, -1.0, -0.1)
-    always = averaged_connect_prob(tg, model, region0, region1,
-                                   link_prob=lambda r, c: 1.0)
-    assert always <= 1.0
+    assert averaged_connect_prob(tg, certain, region0, region1) <= 1.0
     full_cover = averaged_connect_prob(
-        tg, model, (14.9, 15.1, -0.2, -0.1), (24.9, 25.1, -0.2, -0.1),
-        link_prob=lambda r, c: 1.0)
+        tg, certain, (14.9, 15.1, -0.2, -0.1), (24.9, 25.1, -0.2, -0.1))
     assert full_cover == pytest.approx(1.0, abs=1e-9)
 
 
@@ -411,11 +412,10 @@ def test_averaged_connect_prob_y0_trend(model):
     p_far = averaged_connect_prob(tg_far, model, box_far, r1)
     assert p_near > p_far
 
-    def direct(r, c):
-        return float(c == 0)
-
-    d_near = averaged_connect_prob(tg_near, model, box_near, r1, link_prob=direct)
-    d_far = averaged_connect_prob(tg_far, model, box_far, r1, link_prob=direct)
+    # the same channel with C = 0 keeps only the direct paths
+    direct = dataclasses.replace(model, C=0)
+    d_near = averaged_connect_prob(tg_near, direct, box_near, r1)
+    d_far = averaged_connect_prob(tg_far, direct, box_far, r1)
     assert d_near > d_far
 
 
@@ -454,6 +454,18 @@ def test_run_transport_counts_pinned(model):
     assert run.per_c_attempts == (251002, 0, 96430, 0, 7492, 0, 1643)
     assert run.per_c_connects == (240913, 0, 16321, 0, 1, 0, 0)
     assert run.estimate.event_count == 257235
+
+
+def test_run_transport_at_alpha_zero_connects_only_direct_pairs(model):
+    # alpha moves no draw and no path, only the link probabilities: every
+    # reflected path has probability 0, so only direct pairs connect
+    from keyhole.montecarlo import McConfig, run_transport
+    run = run_transport(McConfig(scenario="transport", geometry=opposite_geometry(y0=-0.5),
+                                 channel=dataclasses.replace(model, alpha=0.0),
+                                 trials=100_000, seed=1,
+                                 region0=BENCH_BOX0, region1=BENCH_BOX1))
+    assert run.per_c_attempts == (62646, 0, 24052, 0, 1860, 0, 405)
+    assert run.per_c_connects == (60057, 0, 0, 0, 0, 0, 0)
 
 
 def test_run_transport_counts_do_not_depend_on_blocking(model, monkeypatch):
