@@ -19,8 +19,7 @@ from .geometry2d import (Geometry2D, ReflectionRegion, RegionSet,
 from .mass2d import (ClusterInputs, FullConnectivity, MassBreakdown,
                      exterior_isolation_prob, full_connectivity_first_order,
                      internal_isolation_bridge_term,
-                     internal_isolation_first_term, mass,
-                     multi_external_bridge_prob)
+                     internal_isolation_first_term, mass)
 from .escape3d import (Geometry3D, region_bounds_3d,
                        volume_ratio_first_reflection)
 from .transport import (TransportGeometry, averaged_connect_prob,

@@ -1,4 +1,5 @@
-"""Trial kernel for the stochastic escape runs.
+"""Trial kernel for the stochastic escape runs, and :func:`min_reflections`,
+the one minimal-reflection classifier of the escape and transport layouts.
 
 Counter-based uniform draws (a splitmix-style integer hash of seed, trial
 and draw index) make every trial a pure function of the configuration, so
@@ -88,26 +89,63 @@ def y_image(c: int, y, w: float):
     return (c + 1) * w - y
 
 
-def _classify_np(adx, v, av0, w, tan_t, c_max):
-    """Minimal-reflection classification; c = -1 is unreachable.
+def _inside(gap, start, delta, t):
+    """Whether the crossings ``start + delta * t`` fall in ``gap``."""
+    if len(gap) == 2:
+        x = start[0] + delta[0] * t
+        return (x >= gap[0]) & (x <= gap[1])
+    x, y = (s + d * t for s, d in zip(start, delta))
+    return (x - gap[0]) ** 2 + (y - gap[1]) ** 2 <= gap[2] * gap[2]
 
-    ``adx`` is each node's distance from node 0 along the walls, ``v`` its
-    coordinate across the strip or slab, ``av0`` node 0's depth below the
-    gapped wall and ``tan_t`` the cone half-angle tangent (scalar or per
-    node). Returns (c, adx, vertical offset of the c-th image).
+
+def min_reflections(start, delta, v, depth, w, counts, entry, walls=None, receiving=None):
+    """Least reflection count of each target, tried over ``counts`` in
+    increasing order, and the vertical offset of its image above node 0;
+    c is -1 and the offset 0 where no count works.
+
+    Node 0 sits ``depth`` below wall 0 at ``start`` along the walls, and the
+    targets at offsets ``delta`` from it (one array per coordinate). Wall k
+    unfolds to height k w, and a target's c-th image to ``y_image(c, v, w)``
+    (``v``, its height in the strip) or, given a ``receiving`` gap, to
+    (c + 1) w + ``v`` (its distance beyond the far wall). Count c is a path
+    when the segment to that image crosses wall 0 inside ``entry``, meets
+    each wall k = 1 .. c outside every gap of ``walls(k)``, where it would
+    leave, and crosses height (c + 1) w inside ``receiving``, if given.
+    Gaps are intervals (lo, hi) of one coordinate or discs (cx, cy, r) of
+    two, edges included, so a target on a region boundary takes the lower
+    count. ``start`` and ``depth`` are both scalars or both per-target arrays.
+
+    Escape layouts pass no ``walls``: a minimal-count escape path never
+    meets the gap mid-bounce. In D_c, c >= 2, its first reflection on wall 0
+    lies ((c - 1) w + d)(2 w + d) / ((c + 1) w + d) tan theta >= d tan theta
+    from node 0 along the wall, beyond the gap edge (d = ``depth``).
     """
-    c_out = np.full(adx.shape, -1, dtype=np.int64)
-    vert_out = np.zeros_like(adx)
-    todo = np.ones(adx.shape, dtype=bool)
-    for c in range(c_max + 1):
-        vert = y_image(c, v, w) + av0
-        hit = todo & (adx <= vert * tan_t)
-        c_out[hit] = c
-        vert_out[hit] = vert[hit]
-        todo &= ~hit
-        if not todo.any():
+    shape = delta[0].shape
+    c_out = np.full(delta[0].size, -1, dtype=np.int64)
+    vert_out = np.zeros(c_out.size)
+    # flat indices of the targets no lower count resolved; the per-target
+    # arrays shrink with it, and scalars stay scalars
+    todo = np.arange(c_out.size)
+    for c in counts:
+        top = (c + 1) * w + depth
+        vert = y_image(c, v, w) + depth if receiving is None else top + v
+        ok = _inside(entry, start, delta, depth / vert)
+        if receiving is not None:
+            ok &= _inside(receiving, start, delta, top / vert)
+        for k in range(1, c + 1) if walls else ():
+            for gap in walls(k):
+                ok &= ~_inside(gap, start, delta, (k * w + depth) / vert)
+        hit = ok.ravel().nonzero()[0]
+        done = todo[hit]
+        c_out[done] = c
+        vert_out[done] = vert.take(hit)
+        left = (~ok).ravel().nonzero()[0]
+        if left.size == 0:
             break
-    return c_out, adx, vert_out
+        todo, v, delta = todo[left], v.take(left), [d.take(left) for d in delta]
+        if isinstance(depth, np.ndarray):
+            start, depth = [s.take(left) for s in start], depth.take(left)
+    return c_out.reshape(shape), vert_out.reshape(shape)
 
 
 EVENTS = ("isolated_only", "joint", "full")
@@ -115,9 +153,9 @@ EVENTS = ("isolated_only", "joint", "full")
 
 def cone_reach(w, depth, tan_max, c_max):
     """Farthest offset along the walls from node 0 at which
-    :func:`_classify_np` can place a node in a cone: the far corner of
-    D_c_max, whose image sits (c_max + 1) w + ``depth`` above node 0. The
-    factor 1 + 1e-9 covers the rounding of the classifier's vert * tan."""
+    :func:`min_reflections` can give a node a count up to ``c_max``: the
+    far corner of D_c_max, whose image sits (c_max + 1) w + ``depth`` above
+    node 0. The factor 1 + 1e-9 covers the rounding of its crossings."""
     return ((c_max + 1) * w + depth) * tan_max * (1.0 + 1e-9)
 
 
@@ -182,17 +220,18 @@ def _graph_event(base, coords, link0, event, tab, inv_step, b0, power):
     return np.unique(labels[link0]).size == ncomp
 
 
-def escape_trials(seed, trials, dims, node0, cone_tan, b_coeffs, tab, inv_step,
+def escape_trials(seed, trials, dims, node0, entry, b_coeffs, tab, inv_step,
                   event, reach, power, rho):
     """Number of the ``trials`` in which ``event`` holds.
 
     ``dims`` is (L, w); a third coordinate in ``node0`` selects the 3-D slab
     (L x L x w) over the 2-D strip (L x w). The last coordinate runs across
-    the strip or slab, the others along the walls. ``cone_tan`` maps each
-    node's offsets from node 0 along the walls (dx in 2-D, dx and dy in 3-D)
-    to its cone half-angle tangent. A link at unfolded distance r after c
-    reflections fires with the table value at ``b_coeffs[c] * r**power``,
-    0 where ``b_coeffs[c]`` is infinite.
+    the strip or slab, the others along the walls. ``entry`` is the gap
+    below the interior, an interval in 2-D and a disc in 3-D, and
+    :func:`min_reflections` gives each node its count; with node 0 on the
+    disc's axis it classifies the radial offset, one coordinate as in 2-D.
+    A link at unfolded distance r after c reflections fires with the table
+    value at ``b_coeffs[c] * r**power``, 0 where ``b_coeffs[c]`` is infinite.
     ``reach`` bounds how far along the walls from node 0 a node in a cone
     can sit (:func:`cone_reach`).
 
@@ -221,7 +260,11 @@ def escape_trials(seed, trials, dims, node0, cone_tan, b_coeffs, tab, inv_step,
     L, w = dims
     dim = len(node0)
     extent = np.array([L] * (dim - 1) + [w], dtype=np.float64)
-    c_max = len(b_coeffs) - 1
+    reflections = range(len(b_coeffs))
+    depth = -node0[-1]
+    # node 0 on the disc's axis: the disc is an interval of the radial offset
+    radial = dim == 3 and tuple(entry[:2]) == tuple(node0[:2])
+    origin, gap = ((0.0,), (0.0, entry[2])) if radial else (node0[:-1], entry)
     bases = trial_bases_np(seed, np.arange(trials, dtype=np.uint64))
     along = np.asarray(node0[:-1], dtype=np.float64)
     lo = np.append(np.maximum(along - reach, 0.0), 0.0)
@@ -243,8 +286,8 @@ def escape_trials(seed, trials, dims, node0, cone_tan, b_coeffs, tab, inv_step,
             adx = np.abs(offsets[0])
         else:
             adx = np.sqrt(offsets[0] * offsets[0] + offsets[1] * offsets[1])
-        c_sel, adx, vert = _classify_np(adx, pos[-1], -node0[-1], w,
-                                        cone_tan(*offsets), c_max)
+        c_sel, vert = min_reflections(origin, (adx,) if radial else offsets, pos[-1],
+                                      depth, w, reflections, gap)
         # only nodes inside a cone can link to node 0
         hit = np.flatnonzero(c_sel >= 0)
         r0 = np.sqrt(adx[hit] ** 2 + vert[hit] ** 2)

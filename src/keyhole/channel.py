@@ -64,11 +64,15 @@ class ChannelModel:
         return 0.5 * self._fit().mu * self.eta
 
     @functools.cached_property
-    def _loss_table(self) -> tuple:
-        """2(K+1) beta alpha^-c, the squared Marcum coefficient; inf at alpha = 0, c > 0."""
-        return tuple(math.inf if self.alpha == 0.0 and c > 0
-                     else 2.0 * (self.K + 1.0) * self.beta * self.alpha ** (-c)
+    def _reflection_loss(self) -> tuple:
+        """alpha^-c by Python's pow, for every table; inf at alpha = 0, c > 0."""
+        return tuple(math.inf if self.alpha == 0.0 and c > 0 else self.alpha ** (-c)
                      for c in range(self.C + 1))
+
+    @functools.cached_property
+    def _loss_table(self) -> tuple:
+        """2(K+1) beta alpha^-c, the squared Marcum coefficient."""
+        return tuple(2.0 * (self.K + 1.0) * self.beta * a for a in self._reflection_loss)
 
     @functools.cached_property
     def _b_table(self) -> np.ndarray:
@@ -85,10 +89,7 @@ class ChannelModel:
             raise ValueError("the Gaussian link surrogate is derived for eta = 2")
         nu2 = fit_exponential_approx(self.K, "fixed_two").nu2
         lam_hat = math.exp(nu2) * 2.0 * (self.K + 1.0) * self.beta
-        # alpha^-c by NumPy's power, as the bridge term has always taken it;
-        # the loss table's Python pow rounds some apart (alpha = 0.55, c = 1)
-        with np.errstate(divide="ignore"):
-            return lam_hat * self.alpha ** -np.arange(self.C + 1.0)
+        return lam_hat * np.array(self._reflection_loss)
 
     def _per_count(self, table: np.ndarray, c):
         """``table[c]`` for a count c or an integer array of counts, each in [0, C]."""

@@ -105,21 +105,15 @@ class Geometry3D:
         return self.w * self.L * self.L
 
     def mc_setup(self):
-        """Node 0, the cone tangent per horizontal offset (dx, dy) from node
-        0, node 0's depth below the floor and the largest tangent, for the
-        trial kernel. Off the gap axis the tangent is tan theta(phi) at the
-        offset's azimuth phi = atan2(dy, dx), largest opposite the offset."""
-        node0 = (self.x0, self.y0, self.z0)
+        """Node 0, the gap disc (centre x, centre y, radius), node 0's depth
+        below the floor and the largest cone tangent, for the trial kernel.
+        Off the gap axis the widest cone opens opposite node 0's offset."""
         if self.is_on_axis():
             tan_max = math.tan(self.theta())
-            return node0, lambda dx, dy: tan_max, self.abs_z0, tan_max
-
-        def cone_tan(dx, dy):
-            phi = np.arctan2(dy, dx)
-            return self.rim_distance(np.cos(phi), np.sin(phi)) / self.abs_z0
-
-        tan_max = (self.gap_radius + self.node_offset()) / self.abs_z0
-        return node0, cone_tan, self.abs_z0, tan_max
+        else:
+            tan_max = (self.gap_radius + self.node_offset()) / self.abs_z0
+        return ((self.x0, self.y0, self.z0), (*self.gap_center, self.gap_radius),
+                self.abs_z0, tan_max)
 
     def swept(self, param: str, value: float) -> "Geometry3D":
         """This layout with ``param``, one of ``sweep_parameters``, set to ``value``."""

@@ -13,9 +13,10 @@ node 0, per side of node 0), which the mass and the bridge term integrate.
 Every layout class (``Geometry2D``, ``escape3d.Geometry3D``,
 ``transport.TransportGeometry``) answers the same questions, so no caller
 needs to know which one it holds: ``regions(model)`` (what ``mass2d.mass``
-integrates), ``domain_measure()``, ``mc_setup()``, ``swept(param, value)``,
-and ``axis`` and ``in_gap`` for ``montecarlo.trace_ray``. Its ``scenario``
-names it in configs.
+integrates), ``domain_measure()``, ``swept(param, value)``, and ``axis``
+and ``in_gap`` for ``montecarlo.trace_ray``; the escape layouts also give
+``mc_setup()``, node 0 and the gap that ``_kernels.min_reflections`` takes.
+Its ``scenario`` names it in configs.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import ClassVar, Optional, Tuple
 
 import numpy as np
 
-from ._kernels import _classify_np, y_image  # noqa: F401
+from ._kernels import min_reflections
 
 
 @dataclass(frozen=True)
@@ -90,16 +91,6 @@ class Geometry2D:
             return (self.theta(),)
         return (self.theta(), self.theta_right())
 
-    def cone_tan(self, dx):
-        """Escape-cone half-angle tangent on the side of each offset ``dx``.
-
-        ``dx`` is a point's x minus x0; the right cone serves dx > 0 and the
-        left one the rest. With ``sides="left_only"`` the right tangent is
-        -inf, which no point satisfies.
-        """
-        tan_r = math.tan(self.theta_right()) if self.sides == "both" else -math.inf
-        return np.where(dx > 0.0, tan_r, math.tan(self.theta()))
-
     def regions(self, model) -> RegionSet:
         """D_0 .. D_C on each side of node 0, side fastest; a count's sides
         add up. The closed form warns beyond an escape angle of 0.3 rad."""
@@ -115,9 +106,10 @@ class Geometry2D:
         return self.w * self.L
 
     def mc_setup(self):
-        """Node 0, the cone tangent per offset (:meth:`cone_tan`), node 0's
-        depth below the wall and the largest tangent, for the trial kernel."""
-        return ((self.x0, self.y0), self.cone_tan, self.abs_y0,
+        """Node 0, the entry gap [gap_left, gap_right] ([gap_left, x0] with
+        ``sides="left_only"``), node 0's depth and the largest cone tangent."""
+        right = self.gap_right if self.sides == "both" else self.x0
+        return ((self.x0, self.y0), (self.gap_left, right), self.abs_y0,
                 max(math.tan(th) for th in self.side_thetas()))
 
     def swept(self, param: str, value: float) -> "Geometry2D":
@@ -221,19 +213,20 @@ class RegionSet:
 def classify_point(g: Geometry2D, p, c_max: int = 64) -> Optional[Tuple[int, float]]:
     """Minimum reflection count and unfolded distance from node 0 to ``p``.
 
-    Returns ``None`` when no image with at most ``c_max`` reflections falls
-    inside the escape cone. Points exactly on a region boundary classify to
-    the lower count. A one-point call of ``_kernels._classify_np``.
+    Returns ``None`` when no image with at most ``c_max`` reflections is
+    seen through the gap. Points exactly on a region boundary classify to
+    the lower count. A one-point call of ``_kernels.min_reflections``.
     """
     x, y = float(p[0]), float(p[1])
     if not (0.0 <= x <= g.L and 0.0 <= y <= g.w):
         raise ValueError("point lies outside the rectangle")
-    dx = np.array([x - g.x0])
-    c, adx, vert = _classify_np(np.abs(dx), np.array([y]), g.abs_y0, g.w,
-                                g.cone_tan(dx), c_max)
+    (x0, _), entry, depth, _ = g.mc_setup()
+    dx = x - x0
+    c, vert = min_reflections((x0,), (np.array([dx]),), np.array([y]), depth, g.w,
+                              range(c_max + 1), entry)
     if c[0] < 0:
         return None
-    return int(c[0]), math.sqrt(adx[0] * adx[0] + vert[0] * vert[0])
+    return int(c[0]), math.sqrt(dx * dx + vert[0] * vert[0])
 
 
 def area_ratio_first_reflection(g: Geometry2D) -> float:

@@ -216,15 +216,6 @@ def exterior_isolation_prob(mass_total: float, inputs: ClusterInputs) -> float:
     return math.exp(-inputs.rho * mass_total)
 
 
-def multi_external_bridge_prob(p_single: float, M: int) -> float:
-    """Chance that at least one of M independent external nodes bridges in."""
-    if not (0.0 <= p_single <= 1.0):
-        raise ValueError("p_single must be a probability")
-    if M < 1:
-        raise ValueError("M must be at least 1")
-    return 1.0 - (1.0 - p_single) ** M
-
-
 # ---------------------------------------------------------------------------
 # Interior-node isolation terms (first-order correction to full connectivity)
 # ---------------------------------------------------------------------------

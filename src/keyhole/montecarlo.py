@@ -100,9 +100,9 @@ def _escape_counts(cfg: McConfig) -> int:
     "full") holds."""
     model, g = cfg.channel, cfg.geometry
     tab, inv_step = link_probability_table(model)
-    node0, cone_tan, depth, tan_max = g.mc_setup()
+    node0, entry, depth, tan_max = g.mc_setup()
     reach = _kernels.cone_reach(g.w, depth, tan_max, model.C)
-    return _kernels.escape_trials(cfg.seed, cfg.trials, (g.L, g.w), node0, cone_tan,
+    return _kernels.escape_trials(cfg.seed, cfg.trials, (g.L, g.w), node0, entry,
                                   model.b_coefficient(np.arange(model.C + 1)), tab, inv_step,
                                   cfg.event, reach, 0.5 * model.eta, cfg.rho)
 
@@ -143,9 +143,10 @@ def run_transport(cfg: McConfig) -> TransportEstimate:
 
     Node positions are drawn uniformly from ``region0``/``region1`` boxes
     (degenerate boxes pin a node). The link fires with the exact Marcum
-    probability of the minimal feasible path: ``transport.min_paths`` and
-    one ``pair_connect_prob_exact`` call per block on the pairs with a path,
-    as in ``averaged_connect_prob``, so the two estimates differ only by
+    probability of the minimal feasible path: ``transport.min_paths`` (the
+    escape kernel's classifier, ``_kernels.min_reflections``) and one
+    ``pair_connect_prob_exact`` call per block on the pairs with a path, as
+    in ``averaged_connect_prob``, so the two estimates differ only by
     sampling and quadrature error. Trials are also stratified by that
     minimal reflection count. They run in blocks of ``_kernels.NODE_BUDGET``
     trials; every draw is keyed by its trial, stream and index, so the

@@ -18,6 +18,7 @@ from typing import ClassVar, Optional, Tuple
 
 import numpy as np
 
+from ._kernels import min_reflections
 from .channel import ChannelModel, pair_connect_prob_exact
 from .geometry2d import ReflectionRegion, RegionSet
 
@@ -186,49 +187,23 @@ def min_paths(tg: TransportGeometry, x0, y0, x1, y1,
     """Minimal reflection count and unfolded distance for node pairs.
 
     Takes broadcastable arrays of node 0 (x0, y0) and node 1 (x1, y1)
-    coordinates. Both gap crossings of the unfolded straight segment must fall
-    inside their gaps, and every one of the c reflection points in between
-    must land on a wall: a ray that meets a wall inside a gap (``wall_gaps``)
-    leaves there, so that count has no path. Each count tests only the pairs
-    no lower count resolved. Returns arrays (c, r) of the broadcast shape; c
-    is -1 and r is 0 where no count of ``tg.counts(c_max)`` works.
+    coordinates, and classifies each pair by ``_kernels.min_reflections``
+    over ``tg.counts(c_max)``: the unfolded straight segment enters through
+    the transmitter gap [x_l1, x_l2], leaves through the receiving gap at
+    its unfolded height, and meets every wall in between outside its
+    ``wall_gaps``, where it would leave instead of reflecting. Returns
+    arrays (c, r) of the broadcast shape; c is -1 and r is 0 where no count
+    works.
     """
     x0, y0, x1, y1 = np.broadcast_arrays(*(np.asarray(v, dtype=float)
                                            for v in (x0, y0, x1, y1)))
-    shape = x0.shape
-    x0, y0, x1, y1 = (v.ravel() for v in (x0, y0, x1, y1))
-    ay0 = -y0
     # node 1's distance beyond the receiving wall: the upper wall when it
     # sits above the strip, the lower wall when below
     beyond = np.maximum(y1 - tg.w, -y1)
-    rx_lo, rx_hi = tg.receiving_gap
     dx = x1 - x0
-    c_vals = np.full(x0.size, -1, dtype=np.int64)
-    r_vals = np.zeros(x0.size)
-    # flat indices of the pairs no lower count resolved; x0, dx, ay0 and
-    # beyond shrink with it
-    todo = np.arange(x0.size)
-    for c in tg.counts(c_max):
-        exit_h = (c + 1) * tg.w
-        vert = exit_h + ay0 + beyond
-        # crossings of the transmitter gap at the lower wall and of the
-        # receiver gap at its unfolded height
-        x_at0 = x0 + dx * (ay0 / vert)
-        x_at1 = x0 + dx * ((exit_h + ay0) / vert)
-        ok = ((x_at0 >= tg.x_l1) & (x_at0 <= tg.x_l2)
-              & (x_at1 >= rx_lo) & (x_at1 <= rx_hi))
-        # a reflection point inside a gap is where the ray leaves instead
-        for k in range(1, c + 1):
-            x_k = x0 + dx * ((k * tg.w + ay0) / vert)
-            for lo, hi in tg.wall_gaps(k):
-                ok &= (x_k < lo) | (x_k > hi)
-        hit = np.flatnonzero(ok)
-        done = todo.take(hit)
-        c_vals[done] = c
-        r_vals[done] = np.hypot(dx.take(hit), vert.take(hit))
-        left = np.flatnonzero(~ok)
-        todo, x0, dx, ay0, beyond = (v.take(left) for v in (todo, x0, dx, ay0, beyond))
-    return c_vals.reshape(shape), r_vals.reshape(shape)
+    c_vals, vert = min_reflections((x0,), (dx,), beyond, -y0, tg.w, tg.counts(c_max),
+                                   (tg.x_l1, tg.x_l2), tg.wall_gaps, tg.receiving_gap)
+    return c_vals, np.where(c_vals >= 0, np.hypot(dx, vert), 0.0)
 
 
 def averaged_connect_prob(tg: TransportGeometry, model: ChannelModel,

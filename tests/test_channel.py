@@ -5,7 +5,7 @@ import pytest
 
 from keyhole.channel import (ChannelModel, make_channel_model,
                              pair_connect_prob_approx, pair_connect_prob_exact)
-from keyhole.specfun import marcum_q1
+from keyhole.specfun import fit_exponential_approx, marcum_q1
 
 # frozen: Q1(sqrt(8), sqrt(2*5*1e-3*100/0.6)) from an independent evaluation
 H_K4_R10_C1 = 0.96468334726050009
@@ -140,3 +140,15 @@ def test_one_count_outside_the_range_rejects_the_array(model):
 def test_gaussian_coeff_needs_eta_two():
     with pytest.raises(ValueError, match="eta = 2"):
         make_channel_model(K=4.0, beta=1e-3, eta=3.0).gaussian_coeff(0)
+
+
+@pytest.mark.parametrize("alpha, c", [(0.55, 1), (0.8, 3)])
+def test_every_table_takes_alpha_to_the_minus_c_from_one_pow(alpha, c):
+    # NumPy's array power rounds alpha^-c apart from Python's here on some
+    # CPUs; the link tables and the Gaussian surrogate all take Python's
+    m = make_channel_model(K=4.0, beta=1e-3, alpha=alpha, C=6)
+    loss = alpha ** -c
+    lam_hat = math.exp(fit_exponential_approx(4.0, "fixed_two").nu2) * 2.0 * 5.0 * 1e-3
+    assert m.gaussian_coeff(c) == lam_hat * loss
+    assert m.gaussian_coeff(np.arange(7))[c] == lam_hat * loss
+    assert m.b_coefficient(c) == math.sqrt(2.0 * 5.0 * 1e-3 * loss)

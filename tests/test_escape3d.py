@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from keyhole import _kernels
+from keyhole._kernels import y_image
 from keyhole.channel import make_channel_model
 from keyhole.escape3d import Geometry3D, region_bounds_3d, volume_ratio_first_reflection
-from keyhole.geometry2d import y_image
 from keyhole.mass2d import mass
 
 
@@ -220,22 +220,28 @@ def count_through_disc(g, pts, c_max):
 
 
 def test_off_axis_trial_cones_match_the_gap_disc():
-    # the trial kernel's cone test, at each node's azimuth, against where the
+    # the trial kernel's classifier on the mc_setup disc, against where the
     # segment from node 0 to the node's image crosses the floor
     g = make_geometry(w=10.0, gap_radius=1.0, x0=50.6, y0=49.8)
-    node0, cone_tan, depth, tan_max = g.mc_setup()
+    node0, disc, depth, tan_max = g.mc_setup()
     pts, _ = points_in_reach(g, 3, 50_000, seed=4)
     dx, dy = pts[:, 0] - g.x0, pts[:, 1] - g.y0
-    tan_t = cone_tan(dx, dy)
-    c, _, _ = _kernels._classify_np(np.sqrt(dx * dx + dy * dy), pts[:, 2], depth, g.w,
-                                    tan_t, 3)
+    c, vert = _kernels.min_reflections(node0[:2], (dx, dy), pts[:, 2], depth, g.w,
+                                       range(4), disc)
     assert np.array_equal(c, count_through_disc(g, pts, 3)[0])
     assert (c >= 0).sum() > 5000
+    tan_t = np.sqrt(dx * dx + dy * dy)[c >= 0] / vert[c >= 0]
     assert tan_t.max() <= tan_max
     assert tan_t.max() == pytest.approx(tan_max, rel=1e-3)
+    # the analytic regions' cone at each azimuth is the disc's: a point of
+    # D_0 just inside its edge is in, one just outside is not
     phi = np.linspace(0.0, 2.0 * math.pi, 9)
-    assert cone_tan(np.cos(phi), np.sin(phi)) == pytest.approx(
-        [math.tan(g.theta(v)) for v in phi], rel=1e-14)
+    edge = np.array([math.tan(g.theta(v)) for v in phi]) * (g.w + depth)
+    for scale, want in ((1.0 - 1e-9, 0), (1.0 + 1e-9, -1)):
+        c, _ = _kernels.min_reflections(node0[:2], (scale * edge * np.cos(phi),
+                                                    scale * edge * np.sin(phi)),
+                                        np.full(phi.size, g.w), depth, g.w, range(1), disc)
+        assert np.all(c == want)
 
 
 def test_off_axis_mass_matches_monte_carlo():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from keyhole._kernels import y_image
 from keyhole.geometry2d import (Geometry2D, area_ratio_first_reflection,
-                                classify_point, region_bounds, y_image)
+                                classify_point, region_bounds)
 from keyhole.montecarlo import trace_ray
 
 

@@ -6,15 +6,15 @@ import pytest
 from scipy import integrate
 
 from keyhole import _kernels, mass2d, specfun
+from keyhole._kernels import y_image
 from keyhole.channel import make_channel_model
 from keyhole.escape3d import Geometry3D, region_bounds_3d
-from keyhole.geometry2d import Geometry2D, ReflectionRegion, region_bounds, y_image
+from keyhole.geometry2d import Geometry2D, ReflectionRegion, region_bounds
 from keyhole.mass2d import (ClusterInputs,
                             exterior_isolation_prob,
                             full_connectivity_first_order,
                             internal_isolation_bridge_term,
                             internal_isolation_first_term, mass,
-                            multi_external_bridge_prob,
                             region_mass)
 from keyhole.specfun import integrate_adaptive, lower_inc_gamma
 from keyhole.transport import TransportGeometry, receiving_region
@@ -179,16 +179,6 @@ def test_cluster_inputs_validation():
         ClusterInputs(rho=-0.1, V=2000.0)
     with pytest.raises(TypeError):
         ClusterInputs(N=100.0, V=2000.0)          # the node count is rho V
-
-
-def test_multi_external_bridge():
-    assert multi_external_bridge_prob(0.42, 1) == pytest.approx(0.42)
-    assert multi_external_bridge_prob(1.0, 7) == 1.0
-    assert multi_external_bridge_prob(0.3, 3) == pytest.approx(0.657)
-    with pytest.raises(ValueError):
-        multi_external_bridge_prob(1.2, 2)
-    with pytest.raises(ValueError):
-        multi_external_bridge_prob(0.5, 0)
 
 
 def test_internal_first_term_trivial_limits(model):
@@ -399,11 +389,13 @@ def bridge_monte_carlo(g, model, rho, n, seed, c_limit=2):
     x = rng.uniform(0.0, g.L, n)
     y = rng.uniform(0.0, g.w, n)
     dx = x - g.x0
-    c, adx, vert = _kernels._classify_np(np.abs(dx), y, g.abs_y0, g.w, g.cone_tan(dx), c_limit)
+    node0, entry, depth, _ = g.mc_setup()
+    c, vert = _kernels.min_reflections(node0[:1], (dx,), y, depth, g.w,
+                                       range(c_limit + 1), entry)
     hit = c >= 0
     lam_bar = lam_hat * model.alpha ** -c[hit].astype(float)
     f = np.zeros(n)
-    f[hit] = np.exp(log_pref - lam_bar * (adx[hit] ** 2 + vert[hit] ** 2)
+    f[hit] = np.exp(log_pref - lam_bar * (dx[hit] ** 2 + vert[hit] ** 2)
                     + sigma_y * (y[hit] - 0.5 * g.w) ** 2
                     + sigma_x * (x[hit] - 0.5 * g.L) ** 2)
     scale = rho * g.L * g.w

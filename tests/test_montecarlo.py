@@ -8,9 +8,10 @@ from scipy import special
 from scipy.sparse import csgraph
 
 from keyhole import _kernels, cli, montecarlo, presets
+from keyhole._kernels import y_image
 from keyhole.channel import make_channel_model
 from keyhole.escape3d import Geometry3D
-from keyhole.geometry2d import Geometry2D, y_image
+from keyhole.geometry2d import Geometry2D, classify_point
 from keyhole.mass2d import ClusterInputs, full_connectivity_first_order, mass
 from keyhole.montecarlo import McConfig, link_probability_table, run_escape_isolation
 
@@ -37,16 +38,42 @@ def event_counts(cfg):
                  for e in _kernels.EVENTS)
 
 
+def cone_counts(g, pts, c_max):
+    """Least count c <= ``c_max`` whose cone holds each point of ``pts`` (one
+    row per coordinate; -1 where none does), with its distance from node 0
+    along the walls and the vertical offset of each count's image. Counts
+    are tested in turn; a cone's half-angle tangent is the distance from
+    node 0's foot to the gap's edge along the point's azimuth, over node 0's
+    depth."""
+    if len(pts) == 2:
+        depth, dx = g.abs_y0, pts[0] - g.x0
+        adx = np.abs(dx)
+        right = g.gap_right - g.x0 if g.sides == "both" else -math.inf
+        tan_t = np.where(dx > 0.0, right, g.x0 - g.gap_left) / depth
+    else:
+        depth, dx, dy = g.abs_z0, pts[0] - g.x0, pts[1] - g.y0
+        adx = np.sqrt(dx * dx + dy * dy)
+        # the rim of the gap disc along each point's azimuth from node 0's foot
+        ux, uy = g.x0 - g.gap_center[0], g.y0 - g.gap_center[1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ue = (ux * dx + uy * dy) / adx
+        rim = -ue + np.sqrt(g.gap_radius ** 2 - ux * ux - uy * uy + ue * ue)
+        tan_t = np.where(adx > 0.0, rim, g.gap_radius) / depth
+    verts = np.array([y_image(c, pts[-1], g.w) + depth for c in range(c_max + 1)])
+    in_cone = adx <= verts * tan_t
+    return np.where(in_cone.any(axis=0), in_cone.argmax(axis=0), -1), adx, verts
+
+
 def reference_counts(cfg, graph=True):
     """(isolated, joint, full) counts of ``cfg``, or (isolated,) without
     ``graph``, from a slow reference that shares with the kernel only its
     keyed draws and its link table. Each trial draws its Poisson nodes in
     the reach box U and over the domain, keeping the domain's nodes outside
-    U. Every node is classified by testing each image count in turn, the
-    least count whose cone holds it winning. With ``graph``, every trial's
-    full pair graph is built and the events are decided by union-find."""
+    U. Every node is classified by :func:`cone_counts`. With ``graph``,
+    every trial's full pair graph is built and the events are decided by
+    union-find."""
     g, model = cfg.geometry, cfg.channel
-    node0, cone_tan, _, tan_max = g.mc_setup()
+    node0, _, _, tan_max = g.mc_setup()     # the kernel's reach box
     depth = -node0[-1]
     reach = _kernels.cone_reach(g.w, depth, tan_max, model.C)
     tab, inv_step = link_probability_table(model)
@@ -88,13 +115,7 @@ def reference_counts(cfg, graph=True):
         pts = np.concatenate((in_box, domain[:, ~inside]), axis=1)
         n, n_box = pts.shape[1], in_box.shape[1]
 
-        offsets = [pts[d] - node0[d] for d in range(dim - 1)]
-        adx = np.abs(offsets[0]) if dim == 2 else np.sqrt(offsets[0] * offsets[0]
-                                                          + offsets[1] * offsets[1])
-        tan_t = np.broadcast_to(cone_tan(*offsets), (n,))
-        verts = np.array([y_image(c, pts[-1], g.w) + depth for c in range(model.C + 1)])
-        in_cone = adx <= verts * tan_t
-        c_node = np.where(in_cone.any(axis=0), in_cone.argmax(axis=0), -1)
+        c_node, adx, verts = cone_counts(g, pts, model.C)
         # every node a cone holds lies in U
         assert np.all(c_node[n_box:] == -1)
         hit = np.flatnonzero(c_node >= 0)
@@ -189,6 +210,31 @@ def test_escape_counts_pinned_at_alpha_zero(cfg, counts):
     assert event_counts(cfg) == reference_counts(cfg) == counts
 
 
+def reflected_link_configs():
+    # a narrow strip and slab where reflected links are common, so that
+    # alpha = 0 moves every event count: node 0 off the gap centre, and in
+    # 3-D off the disc's axis
+    model = make_channel_model(K=4.0, beta=0.01, alpha=0.9, C=4)
+    yield McConfig(Geometry2D(w=6.0, L=40.0, eps=2.0, gap_center_x=20.0, x0=20.3,
+                              y0=-1.0),
+                   model, trials=60, seed=32, rho=0.05)
+    yield McConfig(Geometry3D(w=6.0, L=30.0, gap_radius=1.0, gap_center=(15.0, 15.0),
+                              x0=15.5, y0=14.8, z0=-1.0),
+                   model, trials=40, seed=42, rho=0.005)
+
+
+@pytest.mark.parametrize("cfg, counts, counts_at_alpha_zero", zip(
+    reflected_link_configs(), [(7, 2, 41), (11, 7, 18)], [(11, 4, 39), (15, 10, 15)]),
+                         ids=["2d", "3d_off_axis"])
+def test_escape_counts_pinned_with_reflected_links(cfg, counts, counts_at_alpha_zero):
+    # a kernel that dropped every reflected node would give the alpha = 0
+    # counts, which differ here in every event
+    assert event_counts(cfg) == reference_counts(cfg) == counts
+    cfg = dataclasses.replace(cfg, channel=dataclasses.replace(cfg.channel, alpha=0.0))
+    assert event_counts(cfg) == reference_counts(cfg) == counts_at_alpha_zero
+    assert all(a != b for a, b in zip(counts, counts_at_alpha_zero))
+
+
 def test_table_lookup_reads_zero_at_and_past_the_end():
     tab, _ = link_probability_table(split_interior_config().channel)
     last = tab.size - 1.0
@@ -214,10 +260,56 @@ def test_cone_reach_bounds_every_classified_node(c_max):
     corner = ((c_max + 1) * w + depth) * tan_t * (1.0 - 1e-12)
     adx = np.append(adx, corner)
     v = np.append(v, w if c_max % 2 == 0 else 0.0)
-    c_sel, _, _ = _kernels._classify_np(adx, v, depth, w, tan_t, c_max)
+    gap = (-depth * tan_t, depth * tan_t)
+    c_sel, _ = _kernels.min_reflections((0.0,), (adx,), v, depth, w, range(c_max + 1), gap)
     assert c_sel[-1] == c_max
     assert adx[c_sel >= 0].max() <= reach
     assert (c_sel >= 0).sum() > 1000
+
+
+def test_escape_paths_never_meet_the_gap_mid_bounce():
+    # the bound in min_reflections' docstring: on random strips, passing the
+    # escape gap as every even wall's gap too changes no count
+    rng = np.random.default_rng(2026)
+    reflected = moved = 0
+    for _ in range(100):
+        w = rng.uniform(2.0, 30.0)
+        eps = rng.uniform(0.01, 0.9) * w
+        depth = rng.uniform(0.1, 5.0)
+        gap = (-0.5 * eps, 0.5 * eps)
+        x0 = rng.uniform(*gap)
+        reach = _kernels.cone_reach(w, depth, max(x0 - gap[0], gap[1] - x0) / depth, 6)
+        dx = rng.uniform(-reach, reach, 20_000)
+        y = rng.uniform(0.0, w, dx.size)
+        args = ((x0,), (dx,), y, depth, w, range(7), gap)
+        c, vert = _kernels.min_reflections(*args)
+        even = _kernels.min_reflections(*args, walls=lambda k: (gap,) if k % 2 == 0 else ())
+        assert np.array_equal(c, even[0]) and np.array_equal(vert, even[1])
+        reflected += np.count_nonzero(c >= 2)
+        # the wall test is live: the same gap in the upper wall ends paths
+        moved += np.count_nonzero(c != _kernels.min_reflections(*args, walls=lambda k: (gap,))[0])
+    assert reflected > 100_000 and moved > 1000
+
+
+def test_count_boundary_ties_go_to_the_lower_count():
+    # cone edges of slope 1/2 (gap edges 1 from node 0, depth 2) and heights
+    # in quarters: every point, image and crossing is exact, so each point
+    # lies exactly on the edge of D_c, which it shares with D_c+1
+    g = Geometry2D(w=8.0, L=100.0, eps=2.0, gap_center_x=50.0, x0=50.0, y0=-2.0)
+    y = np.tile(np.arange(0.0, 8.25, 0.25), 12)
+    c = np.repeat(np.arange(6), y.size // 6)
+    vert = np.where(c % 2 == 0, c * g.w + y, (c + 1) * g.w - y) + g.abs_y0
+    x = g.x0 + np.where(np.arange(y.size) % 2 == 0, 0.5, -0.5) * vert
+    # on a wall, a point's images after c - 1 and c reflections coincide
+    want = np.array([min(k for k in range(ci + 1)
+                         if y_image(k, yi, g.w) + g.abs_y0 == v)
+                     for ci, yi, v in zip(c, y, vert)])
+    assert np.count_nonzero(want < c) > 0
+    assert np.array_equal(cone_counts(g, np.array([x, y]), 6)[0], want)
+    node0, entry, depth, _ = g.mc_setup()
+    got, _ = _kernels.min_reflections(node0[:1], (x - g.x0,), y, depth, g.w, range(7), entry)
+    assert np.array_equal(got, want)
+    assert [classify_point(g, p)[0] for p in zip(x, y)] == want.tolist()
 
 
 def test_pair_graph_built_only_where_the_event_needs_it(monkeypatch):
