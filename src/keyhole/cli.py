@@ -243,7 +243,7 @@ def _cmd_trace(args) -> int:
         sin, cos = math.sin(args.angle), math.cos(args.angle)
         direction = (sin, *[0.0] * (len(args.origin) - 2), cos)
         path = trace_ray(geometry, args.origin, direction, args.max_reflections)
-    except ValueError as exc:  # a ConfigError, a layout with no tracer or a bad origin
+    except ValueError as exc:  # a ConfigError or a bad origin
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     print(json.dumps({"points": [list(p) for p in path.points],

@@ -121,9 +121,9 @@ class Geometry3D:
             raise ValueError(f"a {self.scenario} layout has no sweep parameter {param!r}")
         return dataclasses.replace(self, **{param: value})
 
-    def in_gap(self, p) -> bool:
-        gx, gy = self.gap_center
-        return math.hypot(p[0] - gx, p[1] - gy) <= self.gap_radius
+    def wall_gaps(self, k: int) -> Tuple[Tuple[float, float, float], ...]:
+        """Gaps on wall k (even k the floor): the gap disc on the floor."""
+        return ((*self.gap_center, self.gap_radius),) if k % 2 == 0 else ()
 
 
 def region_bounds_3d(g: Geometry3D, c: int, varphi: float = 0.0) -> ReflectionRegion:

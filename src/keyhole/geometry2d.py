@@ -14,9 +14,9 @@ Every layout class (``Geometry2D``, ``escape3d.Geometry3D``,
 ``transport.TransportGeometry``) answers the same questions, so no caller
 needs to know which one it holds: ``regions(model)`` (what ``mass2d.mass``
 integrates), ``domain_measure()``, ``swept(param, value)``, and ``axis``
-and ``in_gap`` for ``montecarlo.trace_ray``; the escape layouts also give
-``mc_setup()``, node 0 and the gap that ``_kernels.min_reflections`` takes.
-Its ``scenario`` names it in configs.
+and ``wall_gaps(k)``, the gaps of wall k, for ``montecarlo.trace_ray``; the
+escape layouts also give ``mc_setup()``, node 0 and the gap that
+``_kernels.min_reflections`` takes. Its ``scenario`` names it in configs.
 """
 
 from __future__ import annotations
@@ -118,8 +118,9 @@ class Geometry2D:
             raise ValueError(f"a {self.scenario} layout has no sweep parameter {param!r}")
         return dataclasses.replace(self, **{param: value})
 
-    def in_gap(self, p) -> bool:
-        return self.gap_left <= p[0] <= self.gap_right
+    def wall_gaps(self, k: int) -> Tuple[Tuple[float, float], ...]:
+        """Gaps on wall k (even k the lower wall): the gap on the lower wall."""
+        return ((self.gap_left, self.gap_right),) if k % 2 == 0 else ()
 
 
 def line_radius(line, phi):

@@ -56,10 +56,10 @@ class ClusterInputs:
     V: float
 
     def __post_init__(self):
-        if self.V is None or self.V <= 0.0:
-            raise ValueError("domain measure V must be given and positive")
-        if self.rho is None or self.rho < 0.0:
-            raise ValueError("rho must be given and non-negative")
+        if self.V is None or not (0.0 < self.V < math.inf):
+            raise ValueError(f"domain measure V must be finite and positive, got {self.V!r}")
+        if self.rho is None or not (0.0 <= self.rho < math.inf):
+            raise ValueError(f"rho must be a finite number >= 0, got {self.rho!r}")
 
 
 _GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -282,6 +282,13 @@ def _interior_setup(g: Geometry2D, model: ChannelModel, rho: float):
     return lam_hat, sigma_x, sigma_y, log_pref
 
 
+def _interior_rho(g: Geometry2D, inputs: ClusterInputs) -> float:
+    """``inputs.rho``, once ``inputs.V`` is found to be the domain measure of ``g``."""
+    if not abs(inputs.V - g.domain_measure()) <= 1e-12 * g.domain_measure():
+        raise ValueError(f"V = {inputs.V!r} is not the layout's domain measure")
+    return inputs.rho
+
+
 def internal_isolation_first_term(g: Geometry2D, model: ChannelModel,
                                   inputs: ClusterInputs) -> float:
     """First interior-isolation term rho * int exp(-rho * int H1N) d r_N.
@@ -292,7 +299,7 @@ def internal_isolation_first_term(g: Geometry2D, model: ChannelModel,
     tensor rule over the box, which resolves the wall and corner layers
     that dominate at high density.
     """
-    rho = inputs.rho
+    rho = _interior_rho(g, inputs)
     lam_hat = model.gaussian_coeff(0)
     if rho == 0.0:
         return 0.0
@@ -317,7 +324,7 @@ def internal_isolation_bridge_term(g: Geometry2D, model: ChannelModel,
     angle and in r: where a wall meets the slanted side of a reflected
     region, its boundary layer is a layer in angle too.
     """
-    rho = inputs.rho
+    rho = _interior_rho(g, inputs)
     _, sigma_x, sigma_y, log_pref = _interior_setup(g, model, rho)
     # the Gaussian decay of each count; reflected links vanish at alpha = 0
     decay = model.gaussian_coeff(np.arange(min(_BRIDGE_C_MAX, model.C) + 1))

@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import _kernels
-from .channel import ChannelModel, pair_connect_prob_exact
+from .channel import ChannelModel
 from .specfun import marcum_q1
 from .transport import min_paths
 
@@ -142,17 +142,19 @@ def run_transport(cfg: McConfig) -> TransportEstimate:
     """Estimate the pair connection probability for the transport layout.
 
     Node positions are drawn uniformly from ``region0``/``region1`` boxes
-    (degenerate boxes pin a node). The link fires with the exact Marcum
-    probability of the minimal feasible path: ``transport.min_paths`` (the
-    escape kernel's classifier, ``_kernels.min_reflections``) and one
-    ``pair_connect_prob_exact`` call per block on the pairs with a path, as
-    in ``averaged_connect_prob``, so the two estimates differ only by
-    sampling and quadrature error. Trials are also stratified by that
-    minimal reflection count. They run in blocks of ``_kernels.NODE_BUDGET``
-    trials; every draw is keyed by its trial, stream and index, so the
-    counts do not depend on the blocking.
+    (degenerate boxes pin a node). The link fires with the Marcum
+    probability of the minimal feasible path (``transport.min_paths``, the
+    escape kernel's classifier), read from the escape kernel's
+    :func:`link_probability_table`. ``averaged_connect_prob`` runs the exact
+    series on the same paths, so the two estimates differ by sampling,
+    quadrature and table error, the last far below the others. Trials are
+    stratified by that minimal reflection count and run in blocks of
+    ``_kernels.NODE_BUDGET``; every draw is keyed by its trial, stream and
+    index, so the counts do not depend on the blocking.
     """
     tg, model, c_max = cfg.geometry, cfg.channel, cfg.channel.C
+    tab, inv_step = link_probability_table(model)
+    b_coeffs = model.b_coefficient(np.arange(c_max + 1))
 
     region0 = cfg.region0 or (tg.node0[0], tg.node0[0], tg.node0[1], tg.node0[1])
     region1 = cfg.region1 or (tg.node1[0], tg.node1[0], tg.node1[1], tg.node1[1])
@@ -177,7 +179,8 @@ def run_transport(cfg: McConfig) -> TransportEstimate:
         c_vals, r_vals = min_paths(tg, x0s, y0s, x1s, y1s, c_max)
         h = np.zeros(trials.size)
         path = c_vals >= 0
-        h[path] = pair_connect_prob_exact(r_vals[path], c_vals[path], model)
+        h[path] = _kernels.table_lookup_np(tab, inv_step, _kernels._table_arg(
+            b_coeffs[c_vals[path]], r_vals[path], 0.5 * model.eta))
         connected = _kernels.draws_np(base, _kernels.STREAM_LINK, index0) < h
         attempts += np.bincount(c_vals + 1, minlength=c_max + 2)
         connects += np.bincount(c_vals[connected] + 1, minlength=c_max + 2)
@@ -207,60 +210,62 @@ class RayPath:
         raise ValueError("distance exceeds traced path length")
 
 
+def _in_gap(gap, p) -> bool:
+    """Whether wall point ``p`` is in ``gap``, edges included: an interval
+    (lo, hi) of its first coordinate or a disc (cx, cy, r) of its first two."""
+    if len(gap) == 2:
+        return gap[0] <= p[0] <= gap[1]
+    return math.hypot(p[0] - gap[0], p[1] - gap[1]) <= gap[2]
+
+
 def trace_ray(geometry, origin: Sequence[float], direction: Sequence[float],
               max_reflections: int) -> RayPath:
     """Trace a ray with specular bounces off the horizontal walls.
 
-    The wall holding the gap is transparent over the gap span (disc in 3-D).
-    Tracing stops when the reflection budget would be exceeded (``budget``),
-    the ray escapes downward through the gap (``escaped``), it hits the
-    gapped wall outside the gap from below (``blocked``), or it never meets
-    a wall (``free``).
+    Wall k (0 lower, 1 upper) is transparent over ``geometry.wall_gaps(k)``.
+    A ray entering the strip or slab through a gap passes on, and one
+    leaving through a gap stops (``escaped``); outside every gap a ray from
+    outside stops (``blocked``) and one from inside reflects. Tracing also
+    stops when the reflection budget would be exceeded (``budget``) or the
+    ray never meets a wall (``free``).
     """
-    origin = np.asarray(origin, dtype=float)
+    pos = np.asarray(origin, dtype=float)
     d = np.asarray(direction, dtype=float)
     norm = float(np.linalg.norm(d))
     if norm == 0.0:
         raise ValueError("direction must be non-zero")
     d = d / norm
 
-    if not hasattr(geometry, "in_gap"):
-        raise ValueError(f"{type(geometry).__name__} has no tracer")
-    axis, in_gap = geometry.axis, geometry.in_gap
-    if origin.shape != (axis + 1,) or d.shape != (axis + 1,):
+    axis = geometry.axis
+    if pos.shape != (axis + 1,) or d.shape != (axis + 1,):
         raise ValueError(f"origin and direction need {axis + 1} coordinates each")
 
     w = geometry.w
-    pos = origin.copy()
     points = [tuple(pos)]
-    reflections = 0
-    length = 0.0
+    reflections, length, stopped = 0, 0.0, "budget"
     for _ in range(max_reflections + 8):
         dv = d[axis]
-        if dv == 0.0:
-            return RayPath(tuple(points), reflections, length, "free")
         if dv > 0.0:
             plane = 0.0 if pos[axis] < -1e-15 else w
         else:
             plane = w if pos[axis] > w + 1e-15 else 0.0
-        t = (plane - pos[axis]) / dv
+        t = (plane - pos[axis]) / dv if dv != 0.0 else 0.0
         if t <= 0.0:
-            return RayPath(tuple(points), reflections, length, "free")
-        hit = pos + t * d
+            stopped = "free"
+            break
+        pos = pos + t * d
         length += float(t)
-        points.append(tuple(hit))
-        pos = hit
-        if plane == 0.0:
-            if in_gap(hit):
-                if dv > 0.0:
-                    continue                 # entering through the gap
-                return RayPath(tuple(points), reflections, length, "escaped")
-            if dv > 0.0:
-                # hit the gapped wall from below, outside the gap
-                return RayPath(tuple(points), reflections, length, "blocked")
+        points.append(tuple(pos))
+        # upward through the lower wall or downward through the upper one
+        entering = (dv > 0.0) == (plane == 0.0)
+        in_gap = any(_in_gap(gap, pos) for gap in geometry.wall_gaps(int(plane != 0.0)))
+        if in_gap and entering:
+            continue
+        if in_gap or entering:
+            stopped = "escaped" if in_gap else "blocked"
+            break
         if reflections >= max_reflections:
-            return RayPath(tuple(points), reflections, length, "budget")
-        d = d.copy()
+            break
         d[axis] = -d[axis]
         reflections += 1
-    return RayPath(tuple(points), reflections, length, "budget")
+    return RayPath(tuple(points), reflections, length, stopped)

@@ -1,12 +1,14 @@
 """Transport problem: two external nodes coupled through separate wall gaps.
 
-With gaps on opposite walls a signal needs an even number of reflections to
-cross; with both gaps on the same wall it needs an odd number. Masses are
-integrals of the pair-connection surrogate over the reachable region beyond
-the receiving gap, per reflection count of the admissible parity; the link
-law of each count, its reflection loss included, comes from ``channel``.
+Node 1 sits beyond a receiving gap on the upper wall (``opposite``) or the
+lower wall (``same_side``), to either side of node 0. That gap and its wall
+set the count parity (even across opposite walls, odd along the same wall),
+each wall's gaps and the direction toward the receiver. Masses integrate the
+pair-connection surrogate over the reachable region beyond the receiving
+gap, per reflection count of the admissible parity; the link law of each
+count, its reflection loss included, comes from ``channel``.
 ``TransportGeometry`` answers the layout questions of ``geometry2d`` but has
-no node population, escape trials or tracer.
+no node population or escape trials.
 """
 
 from __future__ import annotations
@@ -22,19 +24,24 @@ from ._kernels import min_reflections
 from .channel import ChannelModel, pair_connect_prob_exact
 from .geometry2d import ReflectionRegion, RegionSet
 
+# each case's receiving gap: its edge fields and its wall (1 upper, 0 lower)
+RECEIVERS = {"opposite": ("x_u1", "x_u2", 1), "same_side": ("x_l3", "x_l4", 0)}
+
 
 @dataclass(frozen=True)
 class TransportGeometry:
-    """Two gaps and two external nodes.
+    """Two gaps within [0, L] and two external nodes.
 
-    Case ``opposite``: transmitter gap [x_l1, x_l2] on the lower wall, node 0
-    below it; receiver gap [x_u1, x_u2] on the upper wall, node 1 above it,
-    offset to the left of node 0. Case ``same_side``: both gaps on the lower
-    wall, receiver gap [x_l3, x_l4] to the right, node 1 below it.
+    The transmitter gap [x_l1, x_l2] is on the lower wall, node 0 below it.
+    Case ``opposite``: the receiving gap [x_u1, x_u2] is on the upper wall,
+    node 1 above it. Case ``same_side``: [x_l3, x_l4] is on the lower wall,
+    apart from the transmitter gap, node 1 below it. The receiving gap may
+    lie on either side of node 0.
     """
 
     scenario: ClassVar[str] = "transport"
     sweep_parameters: ClassVar[Tuple[str, ...]] = ("eps", "w", "y0")
+    axis: ClassVar[int] = 1                 # the wall-normal coordinate
 
     w: float
     L: float
@@ -49,80 +56,53 @@ class TransportGeometry:
     x_l4: Optional[float] = None
 
     def __post_init__(self):
-        if self.case not in ("opposite", "same_side"):
-            raise ValueError("case must be 'opposite' or 'same_side'")
         if not (self.w > 0.0 and self.L > 0.0):
             raise ValueError("w and L must be positive")
-        if not (self.x_l1 < self.x_l2):
-            raise ValueError("transmitter gap is degenerate")
-        x0, y0 = self.node0
-        if y0 >= 0.0:
-            raise ValueError("node 0 must sit below the lower wall")
-        if not (self.x_l1 <= x0 <= self.x_l2):
-            raise ValueError("node 0 must sit under its gap")
-        x1, y1 = self.node1
-        if self.case == "opposite":
-            if self.x_u1 is None or self.x_u2 is None or not (self.x_u1 < self.x_u2):
-                raise ValueError("receiver gap [x_u1, x_u2] is missing or degenerate")
-            if y1 <= self.w:
-                raise ValueError("node 1 must sit above the upper wall")
-            if not (self.x_u1 <= x1 <= self.x_u2):
-                raise ValueError("node 1 must sit over its gap")
-        else:
-            if self.x_l3 is None or self.x_l4 is None or not (self.x_l3 < self.x_l4):
-                raise ValueError("receiver gap [x_l3, x_l4] is missing or degenerate")
-            if not (self.x_l2 < self.x_l3):
-                raise ValueError("same-side gaps must be disjoint, receiver to the right")
-            if y1 >= 0.0:
-                raise ValueError("node 1 must sit below the lower wall")
-            if not (self.x_l3 <= x1 <= self.x_l4):
-                raise ValueError("node 1 must sit under its gap")
+        gaps = (((self.x_l1, self.x_l2), 0, self.node0),
+                (self.receiving_gap, self.receiving_wall, self.node1))
+        for i, ((lo, hi), wall, (x, y)) in enumerate(gaps):
+            if lo is None or hi is None or not lo < hi:
+                raise ValueError(f"the gap of node {i} is missing or degenerate")
+            if not (0.0 <= lo and hi <= self.L):
+                raise ValueError(f"the gap of node {i} must lie within [0, L]")
+            if not (y > self.w if wall else y < 0.0):
+                raise ValueError(f"node {i} must sit beyond its gap's wall")
+            if not lo <= x <= hi:
+                raise ValueError(f"node {i} must sit beyond its gap")
+        lo, hi = self.receiving_gap
+        if self.receiving_wall == 0 and not (self.x_l2 < lo or hi < self.x_l1):
+            raise ValueError("same-side gaps must be disjoint")
 
     @property
-    def abs_y0(self) -> float:
-        return -self.node0[1]
+    def _receiver(self) -> Tuple[str, str, int]:
+        """``RECEIVERS`` entry of this layout's case."""
+        try:
+            return RECEIVERS[self.case]
+        except KeyError:
+            raise ValueError(f"case must be one of {sorted(RECEIVERS)}") from None
 
     @property
     def receiving_gap(self) -> Tuple[float, float]:
         """The gap node 1 sits beyond: [x_u1, x_u2] or [x_l3, x_l4]."""
-        if self.case == "opposite":
-            return self.x_u1, self.x_u2
-        return self.x_l3, self.x_l4
+        lo, hi, _ = self._receiver
+        return getattr(self, lo), getattr(self, hi)
+
+    @property
+    def receiving_wall(self) -> int:
+        """The receiving gap's wall: 1 the upper, 0 the lower."""
+        return self._receiver[2]
 
     def counts(self, c_max: int) -> range:
-        """Reflection counts up to c_max that can cross between the gaps:
-        even across opposite walls, odd along the same wall."""
-        return range(0 if self.case == "opposite" else 1, c_max + 1, 2)
-
-    def toward_receiver(self, x: float) -> float:
-        """Offset of x from node 0, positive toward the receiver: leftward
-        across opposite walls, rightward along the same wall."""
-        dx = x - self.node0[0]
-        return -dx if self.case == "opposite" else dx
-
-    def theta(self) -> float:
-        """Maximum escape angle from the transmitter gap toward the receiver."""
-        edge = max(self.toward_receiver(self.x_l1), self.toward_receiver(self.x_l2))
-        return math.atan(edge / self.abs_y0)
+        """Reflection counts up to c_max that can cross between the gaps: a
+        ray leaves through wall c + 1, so even counts reach the upper wall."""
+        return range(1 - self.receiving_wall, c_max + 1, 2)
 
     def wall_gaps(self, k: int) -> Tuple[Tuple[float, float], ...]:
-        """Gaps on the wall that an unfolded ray meets at height k*w.
-
-        Even k is the lower wall and odd k the upper wall; a ray that meets
-        a wall inside one of these spans passes through instead of
-        reflecting.
-        """
-        if k % 2 == 1:
-            return ((self.x_u1, self.x_u2),) if self.case == "opposite" else ()
-        if self.case == "opposite":
-            return ((self.x_l1, self.x_l2),)
-        return ((self.x_l1, self.x_l2), (self.x_l3, self.x_l4))
-
-    def gaps_straddle(self) -> bool:
-        """True when node 0 sits directly under the receiving gap, which only
-        opposite gaps allow."""
-        lo, hi = self.receiving_gap
-        return lo <= self.node0[0] <= hi
+        """Gaps on the wall an unfolded ray meets at height k*w (even k the
+        lower wall): the transmitter gap on the lower wall, the receiving gap
+        on its own. A ray meeting a wall inside one passes through it."""
+        gaps = ((self.x_l1, self.x_l2),) if k % 2 == 0 else ()
+        return gaps + ((self.receiving_gap,) if k % 2 == self.receiving_wall else ())
 
     def regions(self, model) -> RegionSet:
         """The receiving region of each count of ``counts(model.C)``; the
@@ -144,14 +124,14 @@ class TransportGeometry:
         x1, y1 = self.node1
         if param == "eps":
             lo = self.receiving_gap[0]
-            far_edge = "x_u2" if self.case == "opposite" else "x_l4"
+            _, far_edge, _ = self._receiver
             return dataclasses.replace(
                 self, x_l2=self.x_l1 + value, node0=(self.x_l1 + value / 2.0, y0),
                 node1=(lo + value / 2.0, y1), **{far_edge: lo + value})
         if param == "y0":
             return dataclasses.replace(self, node0=(x0, value))
         if param == "w":
-            if self.case == "opposite":
+            if y1 > self.w:
                 y1 = value + (y1 - self.w)
             return dataclasses.replace(self, w=value, node1=(x1, y1))
         raise ValueError(f"a {self.scenario} layout has no sweep parameter {param!r}")
@@ -161,21 +141,27 @@ def receiving_region(tg: TransportGeometry, c: int) -> ReflectionRegion:
     """Points beyond the receiving gap that rays from node 0 reach through
     it after c reflections.
 
-    Angles are measured from vertical, positive toward the receiver. A count
-    outside ``tg.counts`` exits through the wrong wall and comes back empty;
-    when node 0 sits directly under the receiving gap only direct rays
-    survive.
+    Angles are measured from vertical, positive toward the receiving gap's
+    centre. A count outside ``tg.counts`` exits through the wrong wall and
+    comes back empty. When node 0 sits directly under the receiving gap,
+    which only opposite gaps allow, only direct rays survive: a reflected
+    one leaves through the gap at its first upper-wall hit.
     """
     if c < 0:
         raise ValueError("reflection count must be non-negative")
-    if c not in tg.counts(c) or (tg.gaps_straddle() and c != 0):
+    x0 = tg.node0[0]
+    toward = 1.0 if sum(tg.receiving_gap) > 2.0 * x0 else -1.0
+    near, far = sorted(toward * (x - x0) for x in tg.receiving_gap)
+    if c not in tg.counts(c) or (near <= 0.0 and c != 0):
         return ReflectionRegion.empty_for(c)
-    near, far = sorted(tg.toward_receiver(x) for x in tg.receiving_gap)
-    depth = (c + 1) * tg.w + tg.abs_y0
+    depth0 = -tg.node0[1]
+    depth = (c + 1) * tg.w + depth0
+    # the widest ray toward the receiver passes the transmitter gap's far edge
+    edge = max(toward * (x - x0) for x in (tg.x_l1, tg.x_l2))
     # a negative near edge (node 0 under the receiving gap) starts at vertical
     phi_min = max(math.atan(near / depth), 0.0)
-    phi_max = min(tg.theta(), math.atan(far / depth))
-    if phi_max <= phi_min or phi_max <= 0.0:
+    phi_max = min(math.atan(edge / depth0), math.atan(far / depth))
+    if phi_max <= phi_min:
         return ReflectionRegion.empty_for(c)
     # inner: the receiving wall's image; outer: the vertical through the far edge
     return ReflectionRegion(c=c, phi_min=phi_min, phi_max=phi_max,

@@ -48,11 +48,10 @@ def test_fit_marcum_prints_fit_and_writes_no_file(tmp_path, monkeypatch, capsys)
 
 
 @pytest.mark.parametrize("geometry, origin", [
-    ("fig13", ["15", "-2"]),            # transport has no tracer
     ("fig9", ["50", "-2"]),             # 3-D needs three coordinates
     ("fig4", ["50", "50", "-2"]),       # 2-D needs two
     ({"scenario": "escape2d", "geometry": {"w": 20}}, ["50", "-2"]),
-], ids=["transport", "fig9-2d-origin", "fig4-3d-origin", "missing-geometry-keys"])
+], ids=["fig9-2d-origin", "fig4-3d-origin", "missing-geometry-keys"])
 def test_trace_rejects_bad_input(geometry, origin, tmp_path, capsys):
     if isinstance(geometry, dict):
         path = tmp_path / "geometry.json"
@@ -61,6 +60,22 @@ def test_trace_rejects_bad_input(geometry, origin, tmp_path, capsys):
     argv = ["trace", "--geometry", geometry, "--origin", *origin, "--angle", "0.01"]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_trace_transport_leaves_through_the_receiving_gap(capsys):
+    # fig13's direct ray from node 0 (15.15, -2) toward node 1 (14.65, 12):
+    # in through [15, 15.3] on the lower wall, out through [14.5, 14.8] on
+    # the upper one
+    cfg = presets.get_preset("fig13")["geometry"]
+    argv = ["trace", "--geometry", "fig13", "--origin", "15.15", "-2",
+            "--angle", repr(math.atan2(-0.5, 14.0))]
+    assert cli.main(argv) == 0
+    path = json.loads(capsys.readouterr().out)
+    assert (path["stopped"], path["reflections"]) == ("escaped", 0)
+    x_in, y_in = path["points"][1]
+    x_out, y_out = path["points"][-1]
+    assert y_in == pytest.approx(0.0, abs=1e-12) and cfg["x_l1"] <= x_in <= cfg["x_l2"]
+    assert y_out == cfg["w"] and cfg["x_u1"] <= x_out <= cfg["x_u2"]
 
 
 def test_trace_respects_reflection_budget(capsys):

@@ -175,10 +175,21 @@ def test_cluster_inputs_validation():
     assert ClusterInputs(rho=0.0, V=10.0).rho == 0.0
     with pytest.raises(ValueError, match="V"):
         ClusterInputs(rho=0.1, V=0.0)
-    with pytest.raises(ValueError, match="rho"):
-        ClusterInputs(rho=-0.1, V=2000.0)
+    for rho in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="rho"):
+            ClusterInputs(rho=rho, V=2000.0)
     with pytest.raises(TypeError):
         ClusterInputs(N=100.0, V=2000.0)          # the node count is rho V
+
+
+def test_interior_terms_reject_a_V_that_is_not_the_layouts(model):
+    # the 20 x 100 strip: V = 1 used to give the same p_fc as V = 2000
+    g = make_geometry()
+    full_connectivity_first_order(g, model, ClusterInputs(rho=0.1, V=2000.0 * (1 + 1e-13)))
+    for term in (full_connectivity_first_order, internal_isolation_first_term,
+                 internal_isolation_bridge_term):
+        with pytest.raises(ValueError, match="V = 1.0 is not the layout's domain measure"):
+            term(g, model, ClusterInputs(rho=0.1, V=1.0))
 
 
 def test_internal_first_term_trivial_limits(model):

@@ -66,13 +66,50 @@ def test_case1_parity_and_window():
     assert float(reg.r_max(phi)) == pytest.approx((15.15 - 14.5) / math.sin(phi))
 
 
-def test_case1_receiver_right_of_node_is_empty():
-    tg = TransportGeometry(w=10.0, L=100.0, case="opposite", x_l1=15.0,
-                           x_l2=15.3, x_u1=16.0, x_u2=16.3,
-                           node0=(15.15, -2.0), node1=(16.15, 12.0))
-    for c in (0, 2, 4, 6):
-        assert receiving_region(tg, c).empty
-    assert min_reflections(tg, 6) is None
+def mirrored(tg):
+    """``tg`` reflected about the vertical through node 0."""
+    x0 = tg.node0[0]
+    gaps = {}
+    for lo, hi in (("x_l1", "x_l2"), ("x_u1", "x_u2"), ("x_l3", "x_l4")):
+        if getattr(tg, lo) is not None:
+            gaps[lo], gaps[hi] = 2.0 * x0 - getattr(tg, hi), 2.0 * x0 - getattr(tg, lo)
+    return dataclasses.replace(tg, node1=(2.0 * x0 - tg.node1[0], tg.node1[1]), **gaps)
+
+
+def mirrored_box(tg, box):
+    x0 = tg.node0[0]
+    return (2.0 * x0 - box[1], 2.0 * x0 - box[0], box[2], box[3])
+
+
+@pytest.mark.parametrize("tg, box0, box1", [
+    # receiving gap to the left of node 0, mirrored to its right
+    (opposite_geometry(y0=-0.5), (15.0, 15.3, -0.6, -0.4), (14.5, 14.8, 12.0, 14.0)),
+    # receiving gap to the right, mirrored to the left
+    (same_side_geometry(), (14.0, 16.0, -1.0, -0.1), (23.0, 26.0, -1.0, -0.1)),
+], ids=["opposite", "same_side"])
+def test_mirrored_layout_matches_its_original(model, tg, box0, box1):
+    flip = mirrored(tg)
+    assert (sum(flip.receiving_gap) > 2.0 * tg.node0[0]) != (
+        sum(tg.receiving_gap) > 2.0 * tg.node0[0])
+    want, got = mass(tg, model).per_c, mass(flip, model).per_c
+    assert [c for c, _ in got] == [c for c, _ in want]
+    assert want[0][1] > 0.0
+    for (_, a), (_, b) in zip(want, got):
+        assert b == pytest.approx(a, rel=1e-12, abs=0.0)
+
+    rng = np.random.default_rng(5)
+    x0, y0 = rng.uniform(box0[0], box0[1], 400), rng.uniform(box0[2], box0[3], 400)
+    x1, y1 = rng.uniform(box1[0], box1[1], 400), rng.uniform(box1[2], box1[3], 400)
+    c, r = min_paths(tg, x0, y0, x1, y1, model.C)
+    mx = 2.0 * tg.node0[0]
+    c_flip, r_flip = min_paths(flip, mx - x0, y0, mx - x1, y1, model.C)
+    assert (c_flip == c).all() and len(set(c.tolist())) > 1
+    np.testing.assert_allclose(r_flip, r, rtol=1e-12, atol=0.0)
+
+    p = averaged_connect_prob(tg, model, box0, box1)
+    assert p > 0.0
+    assert averaged_connect_prob(flip, model, mirrored_box(tg, box0),
+                                 mirrored_box(tg, box1)) == pytest.approx(p, rel=1e-12)
 
 
 def test_case1_los_impossibility_forces_two_reflections():
@@ -80,7 +117,7 @@ def test_case1_los_impossibility_forces_two_reflections():
     tg = TransportGeometry(w=10.0, L=100.0, case="opposite", x_l1=15.0,
                            x_l2=15.3, x_u1=13.0, x_u2=13.3,
                            node0=(15.15, -2.0), node1=(13.15, 12.0))
-    theta = tg.theta()
+    theta = math.atan(0.15 / 2.0)     # through the transmitter gap's left edge
     assert tg.node0[0] - (2.0 + 10.0) * math.tan(theta) > tg.x_u2
     cmin = min_reflections(tg, 6)
     assert cmin is not None and cmin >= 2
@@ -90,7 +127,8 @@ def test_case1_straddling_gaps_direct_only():
     tg = TransportGeometry(w=10.0, L=100.0, case="opposite", x_l1=15.0,
                            x_l2=15.3, x_u1=15.0, x_u2=15.3,
                            node0=(15.15, -2.0), node1=(15.15, 12.0))
-    assert tg.gaps_straddle()
+    lo, hi = tg.receiving_gap
+    assert lo <= tg.node0[0] <= hi
     assert not receiving_region(tg, 0).empty
     for c in (2, 4, 6):
         assert receiving_region(tg, c).empty
@@ -118,10 +156,11 @@ def test_case2_path_triangle():
 
 def test_case2_path_outside_cone_infeasible():
     tg = same_side_geometry(node1=(40.0, -0.5), x_l3=38.0, x_l4=42.0)
-    # the c=1 and c=3 images of node 1 lie outside node 0's escape cone
+    # the c=1 and c=3 images of node 1 lie outside node 0's escape cone,
+    # whose right edge passes the transmitter gap's right edge
     for c in (1, 3):
         vert = (c + 1) * tg.w + 2.0 + 0.5
-        assert math.atan((40.0 - 15.0) / vert) > tg.theta()
+        assert math.atan((40.0 - 15.0) / vert) > math.atan(1.0 / 2.0)
     c, r = min_path(tg, tg.node0, tg.node1, 6)
     assert c == 5
     assert r == pytest.approx(math.hypot(25.0, 6 * tg.w + 2.5), rel=1e-12)
@@ -139,10 +178,14 @@ def test_same_side_exit_must_fall_in_receiver_gap():
 
 
 def test_mass_case1_empty_when_unreachable(model):
+    # node 0's cone through [15, 15.3] spans 5.4 either way at the c = 6
+    # image of the upper wall, far short of a receiving gap at x = 40
     tg = TransportGeometry(w=10.0, L=100.0, case="opposite", x_l1=15.0,
-                           x_l2=15.3, x_u1=16.0, x_u2=16.3,
-                           node0=(15.15, -2.0), node1=(16.15, 12.0))
+                           x_l2=15.3, x_u1=40.0, x_u2=40.3,
+                           node0=(15.15, -2.0), node1=(40.15, 12.0))
     assert mass(tg, model).total == 0.0
+    assert min_reflections(tg, 6) is None
+    assert min_path(tg, tg.node0, tg.node1, 6) is None
 
 
 @pytest.mark.parametrize("tg", [
@@ -214,33 +257,20 @@ def test_mass_case2_parity_only_odd(model):
 
 
 def traced_min_path(tg, p0, p1, c_max):
-    """Minimal (c, r) found by tracing the ray aimed at each image of p1.
-
-    ``trace_ray`` knows only the transmitter gap, so the receiver gap is
-    checked here on the traced points: the exit point must lie in it and no
-    reflection point on its wall may.
-    """
-    from keyhole.geometry2d import Geometry2D
+    """Minimal (c, r) found by tracing, through the gaps of ``tg``, the ray
+    aimed at each image of p1: the first count whose ray leaves the strip
+    after exactly c reflections."""
     from keyhole.montecarlo import trace_ray
-    g = Geometry2D(w=tg.w, L=tg.L, eps=tg.x_l2 - tg.x_l1,
-                   gap_center_x=0.5 * (tg.x_l1 + tg.x_l2), x0=p0[0], y0=p0[1])
-    if tg.case == "opposite":
-        start, beyond, rx_gap, rx_wall = 0, p1[1] - tg.w, (tg.x_u1, tg.x_u2), tg.w
-    else:
-        start, beyond, rx_gap, rx_wall = 1, -p1[1], (tg.x_l3, tg.x_l4), 0.0
+    rx_wall = tg.w * tg.receiving_wall
+    beyond = abs(p1[1] - rx_wall)
     dx = p1[0] - p0[0]
-    for c in range(start, c_max + 1, 2):
+    for c in tg.counts(c_max):
         vert = (c + 1) * tg.w - p0[1] + beyond
-        traced = trace_ray(g, p0, (dx, vert), max_reflections=c)
-        if traced.stopped != "budget" or traced.reflections != c:
-            continue                 # blocked at entry or escaped mid-bounce
-        exit_pt, bounces = traced.points[-1], traced.points[2:-1]
+        traced = trace_ray(tg, p0, (dx, vert), max_reflections=c)
+        if traced.stopped != "escaped" or traced.reflections != c:
+            continue                 # blocked, out of budget or out mid-bounce
+        exit_pt = traced.points[-1]
         assert exit_pt[1] == pytest.approx(rx_wall, abs=1e-9)
-        if not rx_gap[0] <= exit_pt[0] <= rx_gap[1]:
-            continue
-        if any(abs(y - rx_wall) < 1e-9 and rx_gap[0] <= x <= rx_gap[1]
-               for x, y in bounces):
-            continue                 # left through the receiver gap early
         # past the exit the ray runs straight on to node 1
         assert exit_pt[0] + dx * beyond / vert == pytest.approx(p1[0], abs=1e-9)
         return c, traced.length + math.hypot(p1[0] - exit_pt[0], p1[1] - exit_pt[1])
@@ -360,9 +390,33 @@ def test_run_transport_agrees_with_min_path(model):
     assert attempts[4] + attempts[6] > 0
 
 
+def test_trace_runs_both_ways_through_the_opposite_gaps():
+    from keyhole.montecarlo import trace_ray
+    tg = opposite_geometry()
+    (x0, y0), (x1, y1) = tg.node0, tg.node1
+    # node 1 down to node 0: in through the receiving gap, out through the
+    # transmitter gap
+    back = trace_ray(tg, tg.node1, (x0 - x1, y0 - y1), max_reflections=0)
+    assert (back.stopped, back.reflections) == ("escaped", 0)
+    assert back.points[-1] == (pytest.approx(x0 + (x1 - x0) * 2.0 / 14.0), 0.0)
+    # the same ray 1 to the left meets the upper wall outside its gap
+    blocked = trace_ray(tg, (x1 - 1.0, y1), (x0 - x1, y0 - y1), max_reflections=6)
+    assert (blocked.stopped, blocked.reflections, len(blocked.points)) == ("blocked", 0, 2)
+
+
 def test_geometry_validation():
-    with pytest.raises(ValueError):
-        same_side_geometry(x_l3=15.0, x_l4=18.0)   # overlaps transmitter gap
+    # the receiving gap overlaps the transmitter gap [14, 16] on either side
+    with pytest.raises(ValueError, match="disjoint"):
+        same_side_geometry(x_l3=15.0, x_l4=18.0, node1=(17.0, -2.0))
+    with pytest.raises(ValueError, match="disjoint"):
+        same_side_geometry(x_l3=12.0, x_l4=14.5, node1=(13.0, -2.0))
+    same_side_geometry(x_l3=10.0, x_l4=13.0, node1=(11.0, -2.0))   # receiver left
+    with pytest.raises(ValueError, match=r"within \[0, L\]"):
+        dataclasses.replace(opposite_geometry(), L=1.0)
+    with pytest.raises(ValueError, match=r"within \[0, L\]"):
+        same_side_geometry(L=25.0)                 # receiver gap [23, 26]
+    with pytest.raises(ValueError, match="case"):
+        same_side_geometry(case="above")
     with pytest.raises(ValueError):
         same_side_geometry(node0=(10.0, -2.0))     # outside its gap
     with pytest.raises(ValueError):

@@ -4,13 +4,21 @@ Run from the root of a source checkout; keyhole is imported from its ``src/``:
 
     python tools/parity.py --out parity.json
 
-Run it on two checkouts and compare the two files (``cmp a.json b.json``).
-The record holds:
+Run it on two checkouts and compare the two files:
+
+    python tools/parity.py --compare a.json b.json
+
+prints each key whose values differ, with both values, and exits 1 if any
+does. The record holds:
 
 - the SHA-256 of every preset CSV with Monte Carlo off, and of fig4 and fig9
   with it on, as the presets set it;
 - ``averaged_connect_prob`` on the opposite-gap boxes (as a float hex) and the
-  per-count ``run_transport`` tallies there (seed 1, 400k trials);
+  per-count ``run_transport`` tallies there (seed 1, 400k trials), and on a
+  same-side layout (seed 1, 100k trials);
+- the per-count transport masses, quadrature and closed form (as float hex),
+  of fig13-15 at every sweep point, of the same layouts mirrored about node
+  0 (receiving gap to the right), and of the tests' same-side layouts;
 - the escape event counts of every pinned Monte Carlo configuration of the
   tests (some also at alpha = 0), and of one off-axis 3-D run;
 - every ``full_connectivity_first_order`` field (floats as hex) at fig4's
@@ -40,11 +48,14 @@ from keyhole import _kernels, cli, montecarlo, presets, transport  # noqa: E402
 from keyhole.channel import make_channel_model  # noqa: E402
 from keyhole.escape3d import Geometry3D  # noqa: E402
 from keyhole.geometry2d import Geometry2D  # noqa: E402
-from keyhole.mass2d import ClusterInputs, full_connectivity_first_order  # noqa: E402
+from keyhole.mass2d import ClusterInputs, full_connectivity_first_order, mass  # noqa: E402
 from keyhole.montecarlo import McConfig  # noqa: E402
 
 TRANSPORT_BOX0 = (15.0, 15.3, -0.6, -0.4)
 TRANSPORT_BOX1 = (14.5, 14.8, 12.0, 14.0)
+SAME_SIDE_BOX0 = (14.0, 16.0, -1.0, -0.1)
+SAME_SIDE_BOX1 = (17.0, 19.0, -1.0, -0.1)
+TRANSPORT_MODEL = dict(K=4.0, beta=1e-3, alpha=0.85, C=6)
 
 
 def preset_csv_digests(out_dir: Path) -> dict:
@@ -65,15 +76,58 @@ def transport_record() -> dict:
     tg = transport.TransportGeometry(w=10.0, L=100.0, case="opposite", x_l1=15.0,
                                      x_l2=15.3, x_u1=14.5, x_u2=14.8,
                                      node0=(15.15, -0.5), node1=(14.65, 12.0))
-    model = make_channel_model(K=4.0, beta=1e-3, alpha=0.85, C=6)
+    model = make_channel_model(**TRANSPORT_MODEL)
     p_avg = transport.averaged_connect_prob(tg, model, TRANSPORT_BOX0, TRANSPORT_BOX1,
                                             n_outer=12, n_inner=24)
     est = montecarlo.run_transport(McConfig(tg, model, trials=400_000, seed=1,
                                             region0=TRANSPORT_BOX0,
                                             region1=TRANSPORT_BOX1))
+    same = montecarlo.run_transport(McConfig(same_side(17.0, 19.0), model, trials=100_000,
+                                             seed=1, region0=SAME_SIDE_BOX0,
+                                             region1=SAME_SIDE_BOX1))
     return {"averaged_connect_prob": float(p_avg).hex(),
             "run_transport_attempts": list(est.per_c_attempts),
-            "run_transport_connects": list(est.per_c_connects)}
+            "run_transport_connects": list(est.per_c_connects),
+            "same_side_run_transport_attempts": list(same.per_c_attempts),
+            "same_side_run_transport_connects": list(same.per_c_connects)}
+
+
+def same_side(lo: float, hi: float):
+    """The same-side layout of the tests with its receiving gap at [lo, hi]."""
+    return transport.TransportGeometry(w=10.0, L=100.0, case="same_side", x_l1=14.0,
+                                       x_l2=16.0, x_l3=lo, x_l4=hi, node0=(15.0, -2.0),
+                                       node1=(0.5 * (lo + hi), -2.0))
+
+
+def mirrored(tg):
+    """``tg`` reflected about the vertical through node 0."""
+    x0 = tg.node0[0]
+    gaps = {}
+    for lo, hi in (("x_l1", "x_l2"), ("x_u1", "x_u2"), ("x_l3", "x_l4")):
+        if getattr(tg, lo) is not None:
+            gaps[lo], gaps[hi] = 2.0 * x0 - getattr(tg, hi), 2.0 * x0 - getattr(tg, lo)
+    return dataclasses.replace(tg, node1=(2.0 * x0 - tg.node1[0], tg.node1[1]), **gaps)
+
+
+def transport_masses() -> dict:
+    """Per-count masses, quadrature and closed form, of every transport layout
+    named in the module docstring."""
+    layouts = []
+    for name in ("fig13", "fig14", "fig15"):
+        cfg = presets.get_preset(name)
+        geometry = cli._parse_geometry(cfg)
+        param = cfg["sweep"]["parameter"]
+        model = make_channel_model(**cfg["channel"])
+        for v in cfg["sweep"]["values"]:
+            point = geometry.swept(param, v)
+            layouts.append((f"{name}@{v!r}", point, model))
+            layouts.append((f"{name}_mirrored@{v!r}", mirrored(point), model))
+    model = make_channel_model(**TRANSPORT_MODEL)
+    for lo, hi in ((23.0, 26.0), (19.0, 21.0), (17.0, 19.0)):
+        layouts.append((f"same_side@{lo!r}-{hi!r}", same_side(lo, hi), model))
+    return {label: {method: [[c, v.hex()] for c, v in mass(tg, m, method).per_c]
+                    for method in ("quadrature", "closed_form")}
+            for label, tg, m in layouts}
 
 
 def preset_point(name: str, alpha: float):
@@ -162,15 +216,40 @@ def simd_features() -> dict:
             "dispatch": list(umath.__cpu_dispatch__)}
 
 
+def flatten(record, prefix="") -> dict:
+    """Leaf values of nested dicts, keyed by their dotted paths."""
+    if not isinstance(record, dict):
+        return {prefix: record}
+    return {key: value for k, v in record.items()
+            for key, value in flatten(v, f"{prefix}.{k}" if prefix else k).items()}
+
+
+def compare(path_a: str, path_b: str) -> int:
+    """Print each key whose values differ between two records; 1 if any does."""
+    a, b = (flatten(json.loads(Path(p).read_text(encoding="utf-8")))
+            for p in (path_a, path_b))
+    missing = "<missing>"
+    differ = [k for k in sorted(a.keys() | b.keys()) if a.get(k, missing) != b.get(k, missing)]
+    for key in differ:
+        print(f"{key}: {a.get(key, missing)} != {b.get(key, missing)}")
+    return 1 if differ else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", required=True, help="path of the JSON record")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--out", help="path of the JSON record")
+    mode.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                      help="compare two records")
     args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
     with tempfile.TemporaryDirectory() as tmp:
         csvs = preset_csv_digests(Path(tmp))
     record = {
         "preset_csv_sha256": csvs,
         "transport": transport_record(),
+        "transport_masses": transport_masses(),
         "escape_pins": escape_pins(),
         "fig4_full_connectivity": full_connectivity_fields(),
         "numpy": np.__version__,
